@@ -4,16 +4,18 @@ For a nonsingular rational transform K, the gain at a prime p is
 -v_p(det K) * log(p) and the gain at the real place is +log|det K|.
 Factoring |det K| exactly (trial division; inputs are desk scale) splits
 the real term into the same primes, so the grand total cancels exponent
-by exponent. The report records both sides and the exact cancellation.
+by exponent. The report records both sides and checks the cancellation
+against per-prime valuations and the product of the factorization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import Mat2
-from .padic import require_prime, valuation
+from .padic import p_power, require_prime, valuation
 
 __all__ = [
     "AdelicGainReport",
@@ -88,9 +90,7 @@ def adelic_report(transform: Mat2) -> AdelicGainReport:
     if det == 0:
         raise ValueError("transform must be nonsingular")
     real = factor_rational(det)
-    primes = {p: -e for p, e in real.items()}
-    merged: dict[int, int] = dict(primes)
-    for p, e in real.items():
-        merged[p] = merged.get(p, 0) + e
-    sum_is_zero = not any(merged.values())
+    primes = {q: gain_exponent(transform, q) for q in real}
+    product = math.prod(p_power(q, e) for q, e in real.items())
+    sum_is_zero = product == abs(det) and all(primes[q] + e == 0 for q, e in real.items())
     return AdelicGainReport(det=det, prime_gains=primes, real_gain=real, sum_is_zero=sum_is_zero)

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .adelic import gain_exponent
 from .errors import InvariantViolation, NotAChannelError, NotAStateError
 from .ledger import LogLedger
 from .lattice import Lattice, Mat2, Vec2, sympl
-from .padic import PhaseQ, additive_character, padic_norm, valuation
+from .padic import PhaseQ, additive_character, p_power, padic_norm, valuation
 
 __all__ = [
     "ChannelValidity",
@@ -67,8 +68,7 @@ class GaussianState:
 
     def entropy(self) -> LogLedger:
         """Exact entropy ledger n * log(p) where measure = p**(-n)."""
-        n = -valuation(self.lattice.measure, self.p)
-        return LogLedger.single(self.p, int(n))
+        return LogLedger.single(self.p, self.rank_exponent())
 
     def rank_exponent(self) -> int:
         """The state is 1/rank times a projector of rank p**n; returns n."""
@@ -146,31 +146,28 @@ class GaussianChannel:
 
     def entropy_gain(self) -> LogLedger:
         """Exact entropy gain: log of |det K|_p, i.e. exponent -v_p(det K)."""
-        v = valuation(self.transform.det(), self.p)
-        return LogLedger.single(self.p, -int(v))
+        return LogLedger.single(self.p, gain_exponent(self.transform, self.p))
 
     def witness_threshold(self) -> int:
         """Smallest n0 >= 0 such that the shrinking-noise witness works for all n >= n0.
 
         Four conditions, each monotone in n, must hold for L_n = p**n * L:
         L_n and K^-1 L_n are contained in L and both have measure <= 1
-        (so the witness input and output are honest states).
+        (so the witness input and output are honest states). With B the
+        canonical basis of L, s = v_p(det B) and g = -v_p(det K), each is
+        a lower bound on n read off exact valuations:
+
+          p**n L in L                iff  n >= 0;
+          K^-1 p**n L in L           iff  n >= -min v_p(entries of B^-1 K^-1 B);
+          measure(p**n L) <= 1       iff  2n >= -s;
+          measure(K^-1 p**n L) <= 1  iff  2n >= -s - g.
         """
-        inv = self.transform.inverse()
-        n = 0
-        while True:
-            ln = self.noise.scaled(n)
-            pulled = ln.transformed(inv)
-            if (
-                ln.issubset(self.noise)
-                and pulled.issubset(self.noise)
-                and ln.measure <= 1
-                and pulled.measure <= 1
-            ):
-                return n
-            n += 1
-            if n > 1000:
-                raise InvariantViolation("witness threshold scan failed to terminate")
+        p, basis = self.p, self.noise.canonical
+        s = int(valuation(basis.det(), p))
+        g = gain_exponent(self.transform, p)
+        m = basis.inverse() @ self.transform.inverse() @ basis
+        containment = -min(valuation(x, p) for x in (m.a, m.b, m.c, m.d) if x != 0)
+        return max(0, containment, -(s // 2), -((s + g) // 2))
 
     def entropy_gain_witness(self, n: int) -> LogLedger:
         """Entropy difference realized on the witness state gamma(p**n * L).
@@ -191,11 +188,12 @@ class GaussianChannel:
     def identity_output_norm(self) -> Fraction:
         """Exact norm of the channel applied to the identity: |det K|_p ** -1.
 
-        Consistency with the closed-form gain (gain = -log of this norm)
-        is asserted on every call.
+        Read off as the measure ratio of K^-1 L_noise to L_noise, and
+        checked on every call against p**(-g) for the closed-form gain
+        exponent g.
         """
-        v = int(valuation(self.transform.det(), self.p))
-        norm = Fraction(self.p**v) if v >= 0 else Fraction(1, self.p ** (-v))
-        if LogLedger.single(self.p, -v) != self.entropy_gain():
+        pulled = self.noise.transformed(self.transform.inverse())
+        norm = pulled.measure / self.noise.measure
+        if norm != p_power(self.p, -gain_exponent(self.transform, self.p)):
             raise InvariantViolation("identity-output norm disagrees with entropy gain")
         return norm

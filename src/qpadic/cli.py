@@ -12,13 +12,13 @@ import argparse
 import json
 import sys
 
-from .adelic import adelic_report
+from .adelic import adelic_report, gain_exponent
 from .channels import GaussianChannel, GaussianState, channel_validity
 from .errors import InvariantViolation
 from .lattice import Lattice, Mat2, Vec2
 from .ledger import LogLedger
 from .oracle import WeylSystem, run_battery
-from .padic import require_prime, valuation
+from .padic import require_prime
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -71,10 +71,7 @@ def _cmd_channel(args) -> tuple[dict, int]:
     require_prime(args.p)
     transform = Mat2.parse(args.transform)
     if args.action == "gain":
-        det = transform.det()
-        if det == 0:
-            raise ValueError("transform must be nonsingular")
-        exponent = -int(valuation(det, args.p))
+        exponent = gain_exponent(transform, args.p)
         ledger = LogLedger.single(args.p, exponent)
         return {
             "exponent": exponent,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .padic import as_rational, fractional_part, padic_norm, require_prime, valuation
+from .padic import as_rational, fractional_part, p_power, padic_norm, require_prime, valuation
 
 __all__ = [
     "Lattice",
@@ -164,12 +164,6 @@ def sympl(u: Vec2, v: Vec2) -> Fraction:
 STANDARD_J = Mat2(Fraction(0), Fraction(1), Fraction(-1), Fraction(0))
 
 
-def _p_power(p: int, e: int) -> Fraction:
-    if e >= 0:
-        return Fraction(p**e)
-    return Fraction(1, p ** (-e))
-
-
 def _canonical_basis(cols: list[Vec2], p: int) -> Mat2:
     """Column-reduce generators over Z_p to the canonical triangular basis.
 
@@ -204,11 +198,11 @@ def _canonical_basis(cols: list[Vec2], p: int) -> Mat2:
     _, _, v = min(second_row, key=lambda item: item[:2])
 
     a = int(valuation(u.x, p))
-    u = u.scaled(_p_power(p, a) / u.x)
+    u = u.scaled(p_power(p, a) / u.x)
     b = int(valuation(v.y, p))
-    pb = _p_power(p, b)
+    pb = p_power(p, b)
     corner = pb * fractional_part(u.y / pb, p)
-    return Mat2(_p_power(p, a), Fraction(0), corner, pb)
+    return Mat2(p_power(p, a), Fraction(0), corner, pb)
 
 
 class Lattice:
@@ -285,7 +279,7 @@ class Lattice:
 
     def scaled(self, n: int) -> "Lattice":
         """p**n * L. Scaling multiplies the (2-dimensional) measure by p**(-2n)."""
-        return Lattice(self.canonical.scaled(_p_power(self.p, n)), self.p)
+        return Lattice(self.canonical.scaled(p_power(self.p, n)), self.p)
 
     def transformed(self, g: Mat2) -> "Lattice":
         """Image g * L under a nonsingular rational matrix."""
@@ -314,14 +308,10 @@ class Lattice:
         """
         u, v = self.canonical.columns()
         n = int(-valuation(self.measure, self.p))
-        s = Mat2.from_columns(u.scaled(_p_power(self.p, -n)), v)
+        s = Mat2.from_columns(u.scaled(p_power(self.p, -n)), v)
         if s.det() != 1:
             raise InvariantViolation("symplectic diagonalization produced det != 1")
         return s, n
-
-    def haar_weight(self) -> Fraction:
-        """Alias for the normalized Haar measure of the lattice."""
-        return self.measure
 
 
 def standard_lattice(p: int) -> Lattice:

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import NotAStateError
 from .lattice import Lattice, Mat2, standard_lattice
-from .padic import is_prime, valuation
+from .padic import is_prime, p_power, valuation
 
 __all__ = [
     "DIMENSION_CAP",
@@ -268,9 +267,7 @@ def entropy_nats(rho: np.ndarray) -> float:
 
 def exponent_lattice(p: int, e1: int, e2: int) -> Lattice:
     """The exact lattice diag(p^e1, p^e2) * L0 matching a product subgroup."""
-    pe1 = Fraction(p**e1) if e1 >= 0 else Fraction(1, p**-e1)
-    pe2 = Fraction(p**e2) if e2 >= 0 else Fraction(1, p**-e2)
-    return Lattice(Mat2.diagonal(pe1, pe2), p)
+    return Lattice(Mat2.diagonal(p_power(p, e1), p_power(p, e2)), p)
 
 
 def _pivot_exponents(lat: Lattice) -> tuple[int, int]:
@@ -457,6 +454,8 @@ def run_battery(
     Returns a JSON-ready dict; 'all_checks_pass' aggregates every check at
     the standard tolerances (1e-10 algebraic, 1e-9 eigenvalue-based).
     """
+    if max_cases is not None and max_cases < 0:
+        raise ValueError(f"max_cases must be non-negative, got {max_cases}")
     p = system.p
     m = system.window
 

@@ -20,6 +20,7 @@ __all__ = [
     "as_rational",
     "fractional_part",
     "is_prime",
+    "p_power",
     "padic_norm",
     "require_prime",
     "valuation",
@@ -90,14 +91,17 @@ def valuation(x: Fraction | int | str, p: int) -> int | float:
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
 
 
+def p_power(p: int, e: int) -> Fraction:
+    """p**e as an exact Fraction, for any integer exponent e."""
+    return Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
+
+
 def padic_norm(x: Fraction | int | str, p: int) -> Fraction:
     """|x|_p = p**(-v_p(x)) as an exact Fraction. |0|_p = 0."""
     v = valuation(x, p)
     if v == INFINITY:
         return Fraction(0)
-    if v >= 0:
-        return Fraction(1, p**v)
-    return Fraction(p ** (-v))
+    return p_power(p, -v)
 
 
 def fractional_part(x: Fraction | int | str, p: int) -> Fraction:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qpadic import adelic
 from qpadic.adelic import (
     adelic_report,
     factor_integer,
@@ -90,6 +91,11 @@ class TestReport:
             for prime, e in rep.prime_gains.items():
                 assert e == gain_exponent(k, prime)
                 assert rep.real_gain[prime] == -e
+
+    def test_wrong_factorization_breaks_sum_zero(self, monkeypatch):
+        # 12/5 is 2^2 * 3 / 5: a factorization short of one 2 must not cancel
+        monkeypatch.setattr(adelic, "factor_rational", lambda q: {2: 1, 3: 1, 5: -1})
+        assert not adelic_report(Mat2.diagonal(12, Fraction(1, 5))).sum_is_zero
 
     def test_invariant_under_unit_determinant_factors(self):
         rng = random.Random(52)

@@ -26,6 +26,23 @@ def diag_lattice(p: int, x, y) -> Lattice:
     return Lattice(Mat2.diagonal(x, y), p)
 
 
+def scanned_threshold(chan: GaussianChannel) -> int:
+    """Reference for witness_threshold: test n = 0, 1, ... on built lattices."""
+    inv = chan.transform.inverse()
+    n = 0
+    while True:
+        ln = chan.noise.scaled(n)
+        pulled = ln.transformed(inv)
+        if (
+            ln.issubset(chan.noise)
+            and pulled.issubset(chan.noise)
+            and ln.measure <= 1
+            and pulled.measure <= 1
+        ):
+            return n
+        n += 1
+
+
 class TestStateValidity:
     def test_vacuum_analog(self):
         s = GaussianState(standard_lattice(3))
@@ -228,6 +245,26 @@ class TestGainLaw:
         assert GaussianChannel(Mat2.diagonal(3, 1), p3).witness_threshold() == 1
         assert GaussianChannel(Mat2.diagonal(9, 1), p3).witness_threshold() == 2
         assert GaussianChannel(Mat2(1, 1, 0, 1), p3).witness_threshold() == 0
+
+    def test_closed_form_threshold_matches_scan(self):
+        rng = random.Random(42)
+        for p in PRIMES:
+            for _ in range(200):
+                chan = rand_valid_channel(rng, p)
+                assert chan.witness_threshold() == scanned_threshold(chan)
+
+    @pytest.mark.parametrize(
+        "noise,n0",
+        [
+            (Mat2.diagonal(Fraction(1, 3), Fraction(1, 3)), 1),
+            (Mat2.diagonal(Fraction(1, 27), 1), 2),
+        ],
+    )
+    def test_measure_bound_sets_threshold(self, noise, n0):
+        # K = I makes containment trivial, so the noise measure alone sets n0
+        chan = GaussianChannel(Mat2.identity(), Lattice(noise, 3))
+        assert chan.noise.measure > 1
+        assert chan.witness_threshold() == scanned_threshold(chan) == n0
 
     def test_pinned_witnesses(self):
         p3 = standard_lattice(3)

@@ -70,12 +70,13 @@ class TestExitCodes:
             ["lattice", "measure", "--p", "3", "--basis", "junk"],
             ["channel", "gain", "--p", "3"],  # missing required flag
             ["lattice", "measure", "--p", "3", "--basis", "1/0,0;0,1"],
+            ["oracle", "--p", "3", "--N", "2", "--max-cases", "-5"],
         ],
     )
     def test_invalid_input_is_one(self, args):
         code, out, err = run_cli(args)
         assert code == 1
-        assert out == "" and err.strip()
+        assert out == "" and err.startswith("error:")
 
     def test_invariant_violation_is_two(self, monkeypatch):
         def boom(_):

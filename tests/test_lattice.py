@@ -308,10 +308,6 @@ class TestSymplecticStructure:
         with pytest.raises(ValueError):
             symplectic_transport(a, standard_lattice(3))
 
-    def test_haar_weight_alias(self):
-        lat = Lattice(Mat2.diagonal(9, 1), 3)
-        assert lat.haar_weight() == lat.measure == Fraction(1, 9)
-
 
 class TestContainment:
     def test_generator_membership(self):

@@ -15,6 +15,7 @@ from qpadic.padic import (
     as_rational,
     fractional_part,
     is_prime,
+    p_power,
     padic_norm,
     require_prime,
     valuation,
@@ -68,6 +69,12 @@ class TestNorm:
         assert padic_norm(Fraction(1, 3), 3) == 3
         assert padic_norm(0, 5) == 0
         assert padic_norm(7, 5) == 1
+
+    def test_p_power(self):
+        assert p_power(3, -2) == Fraction(1, 9)
+        assert p_power(3, 0) == 1
+        assert p_power(3, 2) == 9
+        assert all(type(p_power(5, e)) is Fraction for e in (-1, 0, 1))
 
     @given(x=nonzero_rationals, y=nonzero_rationals, p=prime_st)
     def test_multiplicative(self, x, y, p):
