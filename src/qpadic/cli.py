@@ -1,15 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid input, 2 internal invariant violation
-(including oracle disagreement). All exact quantities are printed as
-strings holding rationals or integer exponents; floats appear only in
-oracle reports.
+Exit codes: 0 success, 1 invalid input (1 also on a closed stdout pipe),
+2 internal invariant violation (including oracle disagreement). All
+exact quantities are printed as strings holding rationals or integer
+exponents; floats appear only in oracle reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .adelic import adelic_report, gain_exponent
@@ -179,7 +180,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args)
+    try:
+        _emit(payload, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`); point stdout at devnull so
+        # the interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -292,11 +292,7 @@ class Lattice:
         if not self.is_self_dual():
             raise ValueError("symplectic basis requires a self-dual lattice")
         u, v = self.canonical.columns()
-        d = sympl(u, v)
-        v = v.scaled(Fraction(1) / d)
-        if sympl(u, v) != 1:
-            raise InvariantViolation("symplectic basis normalization failed")
-        return u, v
+        return u, v.scaled(Fraction(1) / sympl(u, v))
 
     def symplectic_diagonalization(self) -> tuple[Mat2, int]:
         """Write L = S * diag(p**n, 1) * L0 with det(S) = 1 exactly.
@@ -308,10 +304,7 @@ class Lattice:
         """
         u, v = self.canonical.columns()
         n = int(-valuation(self.measure, self.p))
-        s = Mat2.from_columns(u.scaled(p_power(self.p, -n)), v)
-        if s.det() != 1:
-            raise InvariantViolation("symplectic diagonalization produced det != 1")
-        return s, n
+        return Mat2.from_columns(u.scaled(p_power(self.p, -n)), v), n
 
 
 def standard_lattice(p: int) -> Lattice:
@@ -328,11 +321,9 @@ def symplectic_transport(src: Lattice, dst: Lattice) -> Mat2:
     src._require_same_prime(dst)
     if src.measure != dst.measure:
         raise ValueError("transport requires equal measures")
-    s1, n1 = src.symplectic_diagonalization()
-    s2, n2 = dst.symplectic_diagonalization()
-    if n1 != n2:
-        raise InvariantViolation("equal measures but different normal-form exponents")
+    s1, _ = src.symplectic_diagonalization()
+    s2, _ = dst.symplectic_diagonalization()
     out = s2 @ s1.inverse()
-    if out.det() != 1 or src.transformed(out) != dst:
+    if src.transformed(out) != dst:
         raise InvariantViolation("transport postcondition failed")
     return out

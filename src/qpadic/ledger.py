@@ -12,7 +12,6 @@ import math
 from typing import Mapping
 
 _BASE_LABELS = {"e": "ln", "2": "log2", "10": "log10"}
-_BASE_VALUES = {"e": math.e, "2": 2.0, "10": 10.0}
 
 
 class LogLedger:

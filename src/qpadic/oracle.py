@@ -13,10 +13,11 @@ composition rule as the exact characters:
 A window of half-width m = N/2 embeds exact data: the lattice
 diag(p^e1, p^e2) * L0 with -m <= e_i <= m becomes the product subgroup
 p^(m+e1)Z x p^(m+e2)Z, and a phase-space point z with entries of
-valuation >= -m becomes p^m * z mod p^N. Densities built from subgroup
-sums realize the exact Gaussian states, so spectra, entropies,
-characteristic functions and channel outputs can all be checked
-numerically against the exact predictions.
+valuation >= -m becomes p^m * z mod p^N. One builder makes every density,
+p^(-N) * sum of W(-z) over a point set S: a product subgroup gives an exact
+Gaussian state, its channel image within the noise subgroup a channel output.
+Spectra, entropies, characteristic functions and channel outputs can then
+all be checked numerically against the exact predictions.
 
 Everything here is floating point by design; tolerances are carried by
 the callers. The exact modules never import this one.
@@ -144,11 +145,24 @@ def ccr_scan(system: WeylSystem, sample: int | None = None, seed: int = 0) -> tu
     return worst, len(pairs)
 
 
-def _subgroup_range(system: WeylSystem, absolute_exponent: int) -> range:
-    if not 0 <= absolute_exponent <= system.N:
-        raise ValueError(f"subgroup exponent {absolute_exponent} outside [0, {system.N}]")
-    step = system.p**absolute_exponent
-    return range(0, system.dim, step)
+def _indicator(system: WeylSystem, k: int) -> np.ndarray:
+    """Boolean vector of the subgroup p^k Z / p^N Z of Z/p^N."""
+    if not 0 <= k <= system.N:
+        raise ValueError(f"subgroup exponent {k} outside [0, {system.N}]")
+    return np.arange(system.dim) % (system.p**k) == 0
+
+
+def _subgroup_density(system: WeylSystem, mask: np.ndarray) -> np.ndarray:
+    """p^(-N) * sum of W(-z) over the phase-space points z with mask[z] set."""
+    d = system.dim
+    x = np.arange(d)
+    rho = np.zeros((d, d), dtype=complex)
+    for z1 in np.nonzero(mask.any(axis=1))[0]:
+        z2 = np.nonzero(mask[z1])[0]
+        # W(-z1, -z2)[x, (x - z1) % d] = exp(2*pi*i*(-z2*x + h*z1*z2)/d)
+        exponents = (-np.outer(z2, x) + system.half * int(z1) * z2[:, None]) % d
+        rho[x, (x - z1) % d] += np.exp(2j * np.pi * exponents / d).sum(axis=0)
+    return rho / d
 
 
 def gaussian_density(
@@ -172,17 +186,8 @@ def gaussian_density(
         raise NotAStateError(
             f"exponent sum {exponent1 + exponent2} < 0: subgroup is not isotropic"
         )
-    d = system.dim
-    h = system.half
-    s1 = _subgroup_range(system, m + exponent1)
-    s2 = np.array(_subgroup_range(system, m + exponent2))
-    x = np.arange(d)
-    rho = np.zeros((d, d), dtype=complex)
-    for z1 in s1:
-        # W(-z1, -z2)[x, (x - z1) % d] = exp(2*pi*i*(-z2*x + h*z1*z2)/d)
-        exponents = (-np.outer(s2, x) + h * z1 * s2[:, None]) % d
-        rho[x, (x - z1) % d] += np.exp(2j * np.pi * exponents / d).sum(axis=0)
-    rho /= d
+    mask = np.outer(_indicator(system, m + exponent1), _indicator(system, m + exponent2))
+    rho = _subgroup_density(system, mask)
     if shift != (0, 0):
         w = weyl_operator(system, *shift)
         rho = w @ rho @ w.conj().T
@@ -198,13 +203,10 @@ def char_table(system: WeylSystem, rho: np.ndarray) -> np.ndarray:
     """All characteristic values at once; entry [a, b] is Tr(rho W(a, b))."""
     d = system.dim
     x = np.arange(d)
-    fourier = np.exp(2j * np.pi * np.outer(x, x) / d)
-    out = np.empty((d, d), dtype=complex)
-    for a in range(d):
-        diag = rho[(x + a) % d, x]
-        twist = np.exp(2j * np.pi * ((system.half * a * x) % d) / d)
-        out[a, :] = (diag @ fourier) * twist
-    return out
+    # row a holds the diagonal rho[x + a, x]; a length-d DFT over x gives every b
+    diagonals = rho[(x[:, None] + x) % d, x]
+    twist = np.exp(2j * np.pi * ((system.half * np.outer(x, x)) % d) / d)
+    return d * np.fft.ifft(diagonals, axis=1) * twist
 
 
 def char_indicator_deviation(
@@ -212,12 +214,8 @@ def char_indicator_deviation(
 ) -> float:
     """Max departure of the characteristic table from the subgroup indicator."""
     m = system.window
-    d = system.dim
     table = char_table(system, rho)
-    grid = np.arange(d)
-    in1 = (grid % (system.p ** (m + exponent1))) == 0
-    in2 = (grid % (system.p ** (m + exponent2))) == 0
-    expected = np.outer(in1, in2).astype(complex)
+    expected = np.outer(_indicator(system, m + exponent1), _indicator(system, m + exponent2))
     return float(np.abs(table - expected).max())
 
 
@@ -229,21 +227,19 @@ def fourier_subgroup_deviation(system: WeylSystem, e1: int, e2: int) -> float:
     absolute deviation over the full phase-space grid.
     """
     d = system.dim
-    s1 = np.array(_subgroup_range(system, e1))
-    s2 = np.array(_subgroup_range(system, e2))
+    s1 = np.nonzero(_indicator(system, e1))[0]
+    s2 = np.nonzero(_indicator(system, e2))[0]
     z = np.arange(d)
     # D(z, s) = z1*s2 - z2*s1 splits into two separable sums
     col = np.exp(2j * np.pi * (np.outer(z, s2) % d) / d).sum(axis=1) / len(s2)
     row = np.exp(-2j * np.pi * (np.outer(z, s1) % d) / d).sum(axis=1) / len(s1)
     table = np.outer(col, row)
-    dual1 = (z % (system.p ** (system.N - e2))) == 0
-    dual2 = (z % (system.p ** (system.N - e1))) == 0
-    expected = np.outer(dual1, dual2).astype(complex)
+    expected = np.outer(_indicator(system, system.N - e2), _indicator(system, system.N - e1))
     return float(np.abs(table - expected).max())
 
 
-def validate_density(rho: np.ndarray, psd_tolerance: float = 1e-10) -> None:
-    """Raise ValueError unless rho is a density matrix within tolerances."""
+def validate_density(rho: np.ndarray, psd_tolerance: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues of rho; ValueError unless it is a density matrix."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
     herm = float(np.abs(rho - rho.conj().T).max())
@@ -252,17 +248,28 @@ def validate_density(rho: np.ndarray, psd_tolerance: float = 1e-10) -> None:
     tr = complex(np.trace(rho))
     if abs(tr - 1) > 1e-12:
         raise ValueError(f"trace {tr} differs from 1")
-    low = float(np.linalg.eigvalsh(rho).min())
+    lams = np.linalg.eigvalsh(rho)
+    low = float(lams.min())
     if low < -psd_tolerance:
         raise ValueError(f"minimum eigenvalue {low:.3e} below -{psd_tolerance}")
+    return lams
+
+
+def _entropy(spectrum: np.ndarray) -> float:
+    lams = spectrum[spectrum > EIGENVALUE_FLOOR]
+    return float(-(lams * np.log(lams)).sum())
+
+
+def _flat_deviation(spectrum: np.ndarray, p: int, n: int) -> float:
+    """Max distance from the flat spectrum: p^(-n) with multiplicity p^n, else 0."""
+    flat = np.zeros(len(spectrum))
+    flat[-(p**n):] = float(p) ** (-n)
+    return float(np.abs(np.sort(spectrum) - flat).max())
 
 
 def entropy_nats(rho: np.ndarray) -> float:
     """Von Neumann entropy -sum(lam * ln lam) over eigenvalues above 1e-12."""
-    validate_density(rho)
-    lams = np.linalg.eigvalsh(rho)
-    lams = lams[lams > EIGENVALUE_FLOOR]
-    return float(-(lams * np.log(lams)).sum())
+    return _entropy(validate_density(rho))
 
 
 def exponent_lattice(p: int, e1: int, e2: int) -> Lattice:
@@ -270,18 +277,17 @@ def exponent_lattice(p: int, e1: int, e2: int) -> Lattice:
     return Lattice(Mat2.diagonal(p_power(p, e1), p_power(p, e2)), p)
 
 
-def _pivot_exponents(lat: Lattice) -> tuple[int, int]:
-    k = lat.canonical
-    return int(valuation(k.a, lat.p)), int(valuation(k.d, lat.p))
+def _state_exponents(system: WeylSystem) -> list[tuple[int, int]]:
+    """Window exponent pairs (e1, e2) of the centered Gaussian states: e1 + e2 >= 0."""
+    m = system.window
+    return [(g, h) for g in range(-m, m + 1) for h in range(-m, m + 1) if g + h >= 0]
 
 
 def _fits_window(system: WeylSystem, lat: Lattice) -> bool:
     m = system.window
-    a, b = _pivot_exponents(lat)
-    if not (-m <= a <= m and -m <= b <= m):
-        return False
-    corner = lat.canonical.c
-    return corner == 0 or valuation(corner, lat.p) >= -m
+    k = lat.canonical
+    pivots_fit = all(-m <= valuation(pivot, lat.p) <= m for pivot in (k.a, k.d))
+    return pivots_fit and (k.c == 0 or valuation(k.c, lat.p) >= -m)
 
 
 @dataclass
@@ -359,23 +365,11 @@ def channel_scan(
         raise ValueError(f"noise exponents {noise_exponents} leave the window")
     inverse = transform.inverse()
 
-    if input_exponents is None:
-        grid = [
-            (g, h)
-            for g in range(-m, m + 1)
-            for h in range(-m, m + 1)
-            if g + h >= 0
-        ]
-        explicit = False
-    else:
-        grid = list(input_exponents)
-        explicit = True
+    explicit = input_exponents is not None
+    grid = list(input_exponents) if explicit else _state_exponents(system)
 
-    # noise indicator over the full phase grid
+    noise_mask = np.outer(_indicator(system, m + a0), _indicator(system, m + b0))
     zs = np.arange(d)
-    noise1 = (zs % (p ** (m + a0))) == 0
-    noise2 = (zs % (p ** (m + b0))) == 0
-    noise_mask = np.outer(noise1, noise2)
     ka, kb, kc, kd = (v % d for v in k_int)
     z1g, z2g = np.meshgrid(zs, zs, indexing="ij")
     w1 = (ka * z1g + kb * z2g) % d
@@ -397,18 +391,8 @@ def channel_scan(
                 )
             continue
 
-        in1 = (zs % (p ** (m + g))) == 0
-        in2 = (zs % (p ** (m + h))) == 0
-        image_mask = in1[w1] & in2[w2]
-        mask = image_mask & noise_mask
-
-        rho = np.zeros((d, d), dtype=complex)
-        x = np.arange(d)
-        for z1 in np.nonzero(mask.any(axis=1))[0]:
-            z2 = np.nonzero(mask[z1])[0]
-            exponents = (-np.outer(z2, x) + system.half * int(z1) * z2[:, None]) % d
-            rho[x, (x - z1) % d] += np.exp(2j * np.pi * exponents / d).sum(axis=0)
-        rho /= d
+        image_mask = _indicator(system, m + g)[w1] & _indicator(system, m + h)[w2]
+        rho = _subgroup_density(system, image_mask & noise_mask)
 
         spectrum = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
         min_eig = float(spectrum.min())
@@ -419,13 +403,9 @@ def channel_scan(
 
         entropy: float | None = None
         if expected_valid:
-            flat = np.zeros(d)
-            flat[-(p**n_out):] = float(p) ** (-n_out)
-            spectrum_ok = bool(np.abs(np.sort(spectrum) - flat).max() < 1e-9)
-            agree = psd and spectrum_ok
+            agree = psd and _flat_deviation(spectrum, p, n_out) < 1e-9
             if psd:
-                lams = spectrum[spectrum > EIGENVALUE_FLOOR]
-                entropy = float(-(lams * np.log(lams)).sum())
+                entropy = _entropy(spectrum)
         else:
             agree = min_eig < -WITNESS_TOLERANCE
         cases.append(
@@ -457,7 +437,6 @@ def run_battery(
     if max_cases is not None and max_cases < 0:
         raise ValueError(f"max_cases must be non-negative, got {max_cases}")
     p = system.p
-    m = system.window
 
     if system.dim <= 9:
         ccr_dev, ccr_pairs = ccr_scan(system)
@@ -466,39 +445,34 @@ def run_battery(
 
     states = []
     states_ok = True
-    for e1 in range(-m, m + 1):
-        for e2 in range(-m, m + 1):
-            if e1 + e2 < 0:
-                continue
-            n = e1 + e2
-            rho = gaussian_density(system, e1, e2)
-            lams = np.sort(np.linalg.eigvalsh(rho))
-            flat = np.zeros(system.dim)
-            flat[-(p**n):] = float(p) ** (-n)
-            spectrum_dev = float(np.abs(lams - flat).max())
-            ent = entropy_nats(rho)
-            expected_ent = n * float(np.log(p))
-            char_dev = char_indicator_deviation(system, rho, e1, e2)
-            pure = p**n == 1
-            ok = (
-                spectrum_dev < 1e-10
-                and abs(ent - expected_ent) < 1e-9
-                and char_dev < 1e-10
-                and pure == (n == 0)
-            )
-            states_ok = states_ok and ok
-            states.append(
-                {
-                    "exponents": [e1, e2],
-                    "rank": p**n,
-                    "entropy_nats": ent,
-                    "expected_entropy_nats": expected_ent,
-                    "spectrum_deviation": spectrum_dev,
-                    "char_deviation": char_dev,
-                    "pure": pure,
-                    "ok": ok,
-                }
-            )
+    for e1, e2 in _state_exponents(system):
+        n = e1 + e2
+        rho = gaussian_density(system, e1, e2)
+        lams = validate_density(rho)
+        spectrum_dev = _flat_deviation(lams, p, n)
+        ent = _entropy(lams)
+        expected_ent = n * float(np.log(p))
+        char_dev = char_indicator_deviation(system, rho, e1, e2)
+        pure = abs(float((lams**2).sum()) - 1) < 1e-10
+        ok = (
+            spectrum_dev < 1e-10
+            and abs(ent - expected_ent) < 1e-9
+            and char_dev < 1e-10
+            and pure == (n == 0)
+        )
+        states_ok = states_ok and ok
+        states.append(
+            {
+                "exponents": [e1, e2],
+                "rank": p**n,
+                "entropy_nats": ent,
+                "expected_entropy_nats": expected_ent,
+                "spectrum_deviation": spectrum_dev,
+                "char_deviation": char_dev,
+                "pure": pure,
+                "ok": ok,
+            }
+        )
 
     fourier_dev = 0.0
     for e1 in range(0, system.N + 1):

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import contextlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,3 +152,25 @@ class TestOracleCommand:
         code, out, _ = run_cli(["oracle", "--p", "3", "--N", "2"])
         assert code == 2
         assert json.loads(out)["all_checks_pass"] is False
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_is_one(self, tmp_path):
+        # the text report at (3, 4) is ~460 KB, far more than a pipe buffer holds
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "qpadic.cli", "oracle", "--p", "3", "--N", "4",
+                 "--format", "text"],
+                stdout=subprocess.PIPE, stderr=err, env=env,
+            )
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+        assert first == b"N: 4\n"
+        assert code == 1
+        assert (tmp_path / "stderr").read_bytes() == b""

@@ -119,10 +119,18 @@ class TestGaussianDensities:
             gaussian_density(SYS, -1, 0)
 
     def test_char_table_matches_pointwise_trace(self):
-        rho = gaussian_density(SYS, 1, 0, shift=(2, 7))
-        table = char_table(SYS, rho)
-        for a, b in ((0, 0), (1, 0), (3, 4), (8, 2)):
-            assert abs(table[a, b] - char_value(SYS, rho, a, b)) < 1e-12
+        # the full (a, b) grid, so a sign or index slip in the DFT shows; a
+        # Gaussian's table vanishes where the h*a*b twist is not 1, so a
+        # generic density covers the twist
+        rng = np.random.default_rng(61)
+        for system, shift in ((SYS, (2, 7)), (WeylSystem(5, 2), (4, 11))):
+            d = system.dim
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            generic = g @ g.conj().T / np.trace(g @ g.conj().T)
+            for rho in (gaussian_density(system, 0, 0, shift=shift), generic):
+                table = char_table(system, rho)
+                pointwise = [[char_value(system, rho, a, b) for b in range(d)] for a in range(d)]
+                assert np.abs(table - np.array(pointwise)).max() < 1e-12
 
     @pytest.mark.parametrize("e1,e2", [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)])
     def test_char_is_subgroup_indicator(self, e1, e2):
@@ -195,6 +203,14 @@ class TestDensityValidation:
         with pytest.raises(ValueError):
             validate_density(bad)
 
+    def test_returns_ascending_spectrum(self):
+        rho = gaussian_density(SYS, 1, 0, shift=(3, 5))
+        lams = validate_density(rho)
+        assert np.all(np.diff(lams) >= 0)
+        assert np.abs(lams - np.linalg.eigvalsh(rho)).max() < 1e-15
+        flat = np.diag([0.5, 0.25, 0.25]).astype(complex)
+        assert np.allclose(validate_density(flat), [0.25, 0.25, 0.5])
+
     def test_maximally_mixed_entropy(self):
         assert abs(entropy_nats(np.eye(9) / 9) - np.log(9)) < 1e-12
 
@@ -261,6 +277,26 @@ class TestBattery:
         a = json.dumps(run_battery(SYS, seed=1), sort_keys=True)
         b = json.dumps(run_battery(SYS, seed=1), sort_keys=True)
         assert a == b
+
+    def test_pure_exactly_at_exponent_sum_zero(self):
+        for system in (SYS, WeylSystem(3, 4)):
+            rows = run_battery(system, max_cases=0)["states"]
+            assert any(row["pure"] for row in rows)
+            assert any(not row["pure"] for row in rows)
+            for row in rows:
+                assert row["pure"] is (sum(row["exponents"]) == 0)
+
+    def test_one_eigensolve_per_state_and_case(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        report = run_battery(SYS)
+        assert len(calls) == len(report["states"]) + len(report["channel_cases"])
 
     def test_max_cases_truncates(self):
         report = run_battery(SYS, max_cases=5)
