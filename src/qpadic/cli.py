@@ -18,7 +18,6 @@ from .channels import GaussianChannel, GaussianState, channel_validity
 from .errors import InvariantViolation
 from .lattice import Lattice, Mat2, Vec2
 from .ledger import LogLedger
-from .oracle import WeylSystem, run_battery
 from .padic import require_prime
 
 
@@ -107,6 +106,7 @@ def _cmd_adelic(args) -> tuple[dict, int]:
 
 
 def _cmd_oracle(args) -> tuple[dict, int]:
+    from .oracle import WeylSystem, run_battery  # the only command that loads numpy
     system = WeylSystem(args.p, args.N)
     report = run_battery(system, seed=args.seed, max_cases=args.max_cases)
     return report, 0 if report["all_checks_pass"] else 2

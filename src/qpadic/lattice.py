@@ -4,8 +4,7 @@ A lattice is the Z_p-span of the columns of a nonsingular rational 2x2
 matrix. Only p-adic valuations of the entries matter, so exact rational
 arithmetic captures everything.
 
-Every lattice is reduced on construction to a unique lower-triangular
-canonical basis
+Every lattice is held in a unique lower-triangular canonical basis
 
     [[p**a, 0   ],
      [c,    p**b]]
@@ -15,7 +14,9 @@ normalized away) and whose corner entry c is the canonical representative
 of its residue class modulo p**b * Z_p, namely c = p**b * {c0 / p**b}_p.
 The representative can have negative valuation when the class genuinely
 does (e.g. basis [[1,0],[1/2,1]] at p = 2 reduces to itself). Two
-lattices are equal iff their canonical bases match entrywise.
+lattices are equal iff their canonical bases match entrywise. A user basis,
+the generators of a sum and the image of a transform are reduced to it;
+duals and scalings are built in it in closed form, with no reduction.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .padic import as_rational, fractional_part, p_power, padic_norm, require_prime, valuation
+from .padic import as_rational, fractional_part, p_power, require_prime, valuation
 
 __all__ = [
     "Lattice",
@@ -119,9 +120,6 @@ class Mat2:
 
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
-
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
 
     def adjugate(self) -> "Mat2":
         return Mat2(self.d, -self.b, -self.c, self.a)
@@ -223,7 +221,14 @@ class Lattice:
         self.p = p
         self.basis = basis
         self.canonical = _canonical_basis(list(basis.columns()), p)
-        self.measure = padic_norm(self.canonical.det(), p)
+        self.measure = 1 / self.canonical.det()  # |det|_p, as the pivots are powers of p
+
+    @classmethod
+    def _from_canonical(cls, canonical: Mat2, p: int) -> "Lattice":
+        """Wrap a derived basis that is already canonical: no primality test, no reduction."""
+        lat = object.__new__(cls)
+        lat.p, lat.basis, lat.canonical, lat.measure = p, canonical, canonical, 1 / canonical.det()
+        return lat
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lattice):
@@ -243,18 +248,12 @@ class Lattice:
 
     def dual(self) -> "Lattice":
         """Symplectic dual: all u with sympl(u, v) in Z_p for every v in L."""
-        return Lattice(STANDARD_J @ self.canonical.inverse().transpose(), self.p)
+        k = self.canonical  # J * k**-T reduced; the residue c/d is unchanged
+        return Lattice._from_canonical(Mat2(1 / k.d, 0, k.c / (k.a * k.d), 1 / k.a), self.p)
 
     def is_self_dual(self) -> bool:
-        """True iff L equals its dual; equivalently measure(L) = 1.
-
-        Both routes are evaluated and must agree.
-        """
-        by_measure = self.measure == 1
-        by_duality = self.dual() == self
-        if by_measure != by_duality:
-            raise InvariantViolation("measure-1 and dual-equality disagree on self-duality")
-        return by_measure
+        """True iff L equals its dual; equivalently measure(L) = 1."""
+        return self.measure == 1
 
     def contains(self, v: Vec2) -> bool:
         """Membership test: solves B x = v and checks x has integral entries."""
@@ -270,16 +269,15 @@ class Lattice:
         """Smallest lattice containing both summands (Z_p-module sum)."""
         self._require_same_prime(other)
         cols = [*self.canonical.columns(), *other.canonical.columns()]
-        return Lattice(_canonical_basis(cols, self.p), self.p)
+        return Lattice._from_canonical(_canonical_basis(cols, self.p), self.p)
 
     def __and__(self, other: "Lattice") -> "Lattice":
         """Intersection, computed through duality: (L1* + L2*)*."""
-        self._require_same_prime(other)
         return (self.dual() + other.dual()).dual()
 
     def scaled(self, n: int) -> "Lattice":
         """p**n * L. Scaling multiplies the (2-dimensional) measure by p**(-2n)."""
-        return Lattice(self.canonical.scaled(p_power(self.p, n)), self.p)
+        return Lattice._from_canonical(self.canonical.scaled(p_power(self.p, n)), self.p)
 
     def transformed(self, g: Mat2) -> "Lattice":
         """Image g * L under a nonsingular rational matrix."""

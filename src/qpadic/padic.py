@@ -52,18 +52,33 @@ def as_rational(x: Fraction | int | str) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
 
+#: Miller-Rabin with the first 13 primes as bases is exact below this bound
+#: (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin. Raises ValueError at or above _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large for an exact primality test")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

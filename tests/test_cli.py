@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qpadic.cli as cli
+import qpadic.oracle
 from qpadic.errors import InvariantViolation
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -147,11 +148,46 @@ class TestOracleCommand:
 
     def test_failed_battery_exits_two(self, monkeypatch):
         monkeypatch.setattr(
-            cli, "run_battery", lambda *a, **k: {"all_checks_pass": False}
+            qpadic.oracle, "run_battery", lambda *a, **k: {"all_checks_pass": False}
         )
         code, out, _ = run_cli(["oracle", "--p", "3", "--N", "2"])
         assert code == 2
         assert json.loads(out)["all_checks_pass"] is False
+
+
+def run_subprocess(args, timeout):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+class TestBoundedTime:
+    def test_large_prime_measure_finishes(self):
+        # trial division of p = 10**18 + 3 ran past 20 s
+        proc = run_subprocess(
+            ["-m", "qpadic.cli", "lattice", "measure", "--p", "1000000000000000003",
+             "--basis", "3,0;0,1"],
+            timeout=20,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == '{"measure": "1"}\n'
+
+    def test_prime_beyond_exact_test_is_one(self):
+        proc = run_subprocess(
+            ["-m", "qpadic.cli", "lattice", "measure", "--p", "3317044064679887385961981",
+             "--basis", "3,0;0,1"],
+            timeout=20,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+    def test_import_leaves_numpy_unloaded(self):
+        proc = run_subprocess(
+            ["-c", "import sys, qpadic.cli; print('numpy' in sys.modules)"], timeout=20
+        )
+        assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 class TestClosedPipe:

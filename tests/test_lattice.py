@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import qpadic.lattice
 from qpadic.lattice import (
     STANDARD_J,
     Lattice,
@@ -34,6 +35,13 @@ from conftest import (
 
 def mutually_included(a: Lattice, b: Lattice) -> bool:
     return a.issubset(b) and b.issubset(a)
+
+
+def generic_dual(basis: Mat2, p: int) -> Lattice:
+    """J * B**-T reduced from scratch: the dual by the generic route."""
+    inv = basis.inverse()
+    inverse_transpose = Mat2(inv.a, inv.c, inv.b, inv.d)
+    return Lattice(STANDARD_J @ inverse_transpose, p)
 
 
 def is_p_power(q: Fraction, p: int) -> bool:
@@ -329,3 +337,75 @@ class TestContainment:
             a = rand_rational(rng, 5, 0, 3)
             b = rand_rational(rng, 5, 0, 3)
             assert lat.contains(u.scaled(a) + v.scaled(b))
+
+
+class TestClosedForms:
+    """Closed-form derived lattices against the generic reduction.
+
+    `dual`, `scaled`, `measure` and `is_self_dual` read their results off
+    the canonical basis; here every one is compared with a lattice reduced
+    from a raw basis, which keeps two independent routes for criteria 1-2.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = random.Random(27)
+        return [rand_lattice(rng, p) for p in PRIMES for _ in range(200)]
+
+    def test_dual_matches_generic_route(self, corpus):
+        assert len(corpus) >= 1000
+        for lat in corpus:
+            dual = lat.dual()
+            assert dual == generic_dual(lat.basis, lat.p)
+            assert dual.measure == padic_norm(dual.canonical.det(), lat.p)
+
+    def test_scaled_matches_generic_route(self, corpus):
+        for lat in corpus:
+            for n in range(-3, 4):
+                assert lat.scaled(n) == Lattice(lat.basis.scaled(Fraction(lat.p) ** n), lat.p)
+
+    def test_measure_matches_padic_norm(self, corpus):
+        for lat in corpus:
+            assert lat.measure == padic_norm(lat.basis.det(), lat.p)
+
+    def test_self_duality_matches_generic_dual(self, corpus):
+        verdicts = [lat.is_self_dual() for lat in corpus]
+        assert verdicts == [generic_dual(lat.basis, lat.p) == lat for lat in corpus]
+        assert any(verdicts) and not all(verdicts)
+
+
+class TestReductionCount:
+    """Only raw generators are reduced: derived lattices are built canonical."""
+
+    @pytest.mark.parametrize(
+        "op, expected",
+        [
+            ("construct", 1),
+            ("sum", 1),
+            ("intersect", 1),
+            ("transformed", 1),
+            ("dual", 0),
+            ("scaled", 0),
+        ],
+    )
+    def test_reductions_per_operation(self, monkeypatch, op, expected):
+        a = Lattice(Mat2.parse("3,1;1/3,2"), 3)
+        b = Lattice(Mat2.parse("1/9,0;5,27"), 3)
+        ops = {
+            "construct": lambda: Lattice(Mat2.parse("6,1;1/3,2"), 3),
+            "sum": lambda: a + b,
+            "intersect": lambda: a & b,
+            "transformed": lambda: a.transformed(Mat2.parse("2,1;1,3")),
+            "dual": a.dual,
+            "scaled": lambda: a.scaled(2),
+        }
+        calls = []
+        reduce = qpadic.lattice._canonical_basis
+
+        def counting(cols, p):
+            calls.append(p)
+            return reduce(cols, p)
+
+        monkeypatch.setattr(qpadic.lattice, "_canonical_basis", counting)
+        ops[op]()
+        assert len(calls) == expected

@@ -30,6 +30,22 @@ nonzero_rationals = rationals.filter(lambda q: q != 0)
 prime_st = st.sampled_from(PRIMES)
 
 
+def trial_division_is_prime(n: int) -> bool:
+    """The former `is_prime`, kept as the reference for Miller-Rabin."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
 class TestValuation:
     def test_pinned_values(self):
         assert valuation(12, 2) == 2
@@ -171,6 +187,38 @@ class TestParsingAndPrimes:
     def test_is_prime_table(self):
         hits = [n for n in range(60) if is_prime(n)]
         assert hits == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+    def test_is_prime_matches_trial_division(self):
+        assert [n for n in range(20_000) if is_prime(n)] == [
+            n for n in range(20_000) if trial_division_is_prime(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2047,
+            1373653,
+            25326001,
+            3215031751,
+            2152302898747,
+            3474749660383,
+            341550071728321,
+            3825123056546413051,
+            318665857834031151167461,
+        ],
+    )
+    def test_is_prime_rejects_strong_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    def test_is_prime_large(self):
+        assert is_prime(10**18 + 3)
+        assert is_prime(2**61 - 1)
+        assert not is_prime((10**9 + 7) * (10**9 + 9))
+        for n in (3317044064679887385961981, 3317044064679887385961981 + 2):
+            with pytest.raises(ValueError):
+                is_prime(n)
+            with pytest.raises(ValueError):
+                require_prime(n)
 
     def test_require_prime(self):
         require_prime(13)
