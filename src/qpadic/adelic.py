@@ -2,7 +2,7 @@
 
 For a nonsingular rational transform K, the gain at a prime p is
 -v_p(det K) * log(p) and the gain at the real place is +log|det K|.
-Factoring |det K| exactly (trial division; inputs are desk scale) splits
+Factoring |det K| exactly (trial division, Miller-Rabin and rho) splits
 the real term into the same primes, so the grand total cancels exponent
 by exponent. The report records both sides and checks the cancellation
 against per-prime valuations and the product of the factorization.
@@ -10,12 +10,13 @@ against per-prime valuations and the product of the factorization.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import Mat2
-from .padic import p_power, require_prime, valuation
+from .padic import is_prime, p_power, require_prime, valuation
+from .value import FrozenValue
 
 __all__ = [
     "AdelicGainReport",
@@ -26,8 +27,54 @@ __all__ = [
 ]
 
 
+#: Trial division stops here; larger factors go to Miller-Rabin and to rho.
+_TRIAL_BOUND = 1000
+#: Steps of Pollard-Brent rho one split may take before factoring gives up.
+_RHO_BUDGET = 1 << 19
+
+
+def _rho_split(n: int) -> int:
+    """A proper factor of the composite n, by Pollard-Brent rho (Brent, BIT 1980).
+
+    Iterates y -> y*y + c mod n from y = 2 for c = 1, 2, ..., taking one
+    gcd per batch of 128 steps. Raises ValueError after _RHO_BUDGET steps.
+    """
+    steps = 0
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > _RHO_BUDGET:
+                raise ValueError(f"could not factor {n} within {_RHO_BUDGET} rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def factor_integer(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer by trial division."""
+    """Prime factorization of a positive integer.
+
+    Trial division below _TRIAL_BOUND, then each cofactor is proven prime
+    by Miller-Rabin or split by Pollard-Brent rho. Rather than guess, it
+    raises ValueError when a cofactor is too large for Miller-Rabin to be
+    exact or rho runs out of its step budget.
+    """
     if n < 1:
         raise ValueError("factor_integer expects a positive integer")
     out: dict[int, int] = {}
@@ -36,14 +83,20 @@ def factor_integer(n: int) -> dict[int, int]:
             out[q] = out.get(q, 0) + 1
             n //= q
     f = 5
-    while f * f <= n:
+    while f * f <= n and f < _TRIAL_BOUND:
         for q in (f, f + 2):
             while n % q == 0:
                 out[q] = out.get(q, 0) + 1
                 n //= q
         f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if f * f > m or is_prime(m):  # no factor below f, so f * f > m makes m prime
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_split(m)
+            rest += [d, m // d]
     return dict(sorted(out.items()))
 
 
@@ -66,14 +119,13 @@ def gain_exponent(transform: Mat2, p: int) -> int:
     return -int(valuation(det, p))
 
 
-@dataclass(frozen=True)
-class AdelicGainReport:
+class AdelicGainReport(FrozenValue):
     """Per-prime gains, the real-place factorization, and their cancellation."""
 
-    det: Fraction
-    prime_gains: dict[int, int]
-    real_gain: dict[int, int]
-    sum_is_zero: bool
+    __slots__ = ("det", "prime_gains", "real_gain", "sum_is_zero")
+
+    def __new__(cls, det, prime_gains, real_gain, sum_is_zero) -> "AdelicGainReport":
+        return cls._of(det, prime_gains, real_gain, sum_is_zero)
 
     def to_json_dict(self) -> dict:
         return {

@@ -18,7 +18,6 @@ K^-1 L_state intersect L_noise and shift adj(K) * alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .adelic import gain_exponent
@@ -26,6 +25,7 @@ from .errors import InvariantViolation, NotAChannelError, NotAStateError
 from .ledger import LogLedger
 from .lattice import Lattice, Mat2, Vec2, sympl
 from .padic import PhaseQ, additive_character, p_power, padic_norm, valuation
+from .value import FrozenValue
 
 __all__ = [
     "ChannelValidity",
@@ -85,14 +85,13 @@ class GaussianState:
         return self.lattice.measure == other.lattice.measure
 
 
-@dataclass(frozen=True)
-class ChannelValidity:
+class ChannelValidity(FrozenValue):
     """Exact pieces of the admissibility inequality |1 - det K|_p * |L| <= 1."""
 
-    one_minus_det_norm: Fraction
-    noise_measure: Fraction
-    product: Fraction
-    ok: bool
+    __slots__ = ("one_minus_det_norm", "noise_measure", "product", "ok")
+
+    def __new__(cls, one_minus_det_norm, noise_measure, product, ok) -> "ChannelValidity":
+        return cls._of(one_minus_det_norm, noise_measure, product, ok)
 
 
 def channel_validity(transform: Mat2, noise: Lattice) -> ChannelValidity:

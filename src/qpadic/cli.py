@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 invalid input (1 also on a closed stdout pipe),
 2 internal invariant violation (including oracle disagreement). All
 exact quantities are printed as strings holding rationals or integer
-exponents; floats appear only in oracle reports.
+exponents; floats appear only in oracle reports. A rational literal may
+have at most 1000 digits, counting the magnitude of a decimal exponent.
 """
 
 from __future__ import annotations

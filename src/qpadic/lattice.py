@@ -21,11 +21,11 @@ duals and scalings are built in it in closed form, with no reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
 from .padic import as_rational, fractional_part, p_power, require_prime, valuation
+from .value import FrozenValue
 
 __all__ = [
     "Lattice",
@@ -38,40 +38,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """Column vector (x, y) with exact rational entries."""
+class Vec2(FrozenValue):
+    """Column vector (x, y); the constructor coerces each entry with as_rational."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", as_rational(self.x))
-        object.__setattr__(self, "y", as_rational(self.y))
+    def __new__(cls, x, y) -> "Vec2":
+        return cls._of(as_rational(x), as_rational(y))
 
     @classmethod
     def zero(cls) -> "Vec2":
-        return cls(Fraction(0), Fraction(0))
+        return cls(0, 0)
 
     @classmethod
     def parse(cls, text: str) -> "Vec2":
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"vector literal must look like 'x,y', got {text!r}")
-        return cls(as_rational(parts[0]), as_rational(parts[1]))
+        return cls(*parts)
 
     def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
+        return Vec2._of(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
+        return Vec2._of(self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
+        return Vec2._of(-self.x, -self.y)
 
     def scaled(self, s: Fraction | int) -> "Vec2":
         s = as_rational(s)
-        return Vec2(self.x * s, self.y * s)
+        return Vec2._of(self.x * s, self.y * s)
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
@@ -80,49 +77,38 @@ class Vec2:
         return f"{self.x},{self.y}"
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Rational 2x2 matrix [[a, b], [c, d]]."""
+class Mat2(FrozenValue):
+    """Rational 2x2 matrix [[a, b], [c, d]]; the constructor coerces each entry."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
+    def __new__(cls, a, b, c, d) -> "Mat2":
+        return cls._of(as_rational(a), as_rational(b), as_rational(c), as_rational(d))
 
     @classmethod
     def identity(cls) -> "Mat2":
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+        return cls(1, 0, 0, 1)
 
     @classmethod
     def diagonal(cls, x: Fraction | int, y: Fraction | int) -> "Mat2":
-        return cls(as_rational(x), Fraction(0), Fraction(0), as_rational(y))
+        return cls(x, 0, 0, y)
 
     @classmethod
     def from_columns(cls, u: Vec2, v: Vec2) -> "Mat2":
-        return cls(u.x, v.x, u.y, v.y)
+        return cls._of(u.x, v.x, u.y, v.y)
 
     @classmethod
     def parse(cls, text: str) -> "Mat2":
-        rows = text.split(";")
-        if len(rows) != 2:
+        rows = [row.split(",") for row in text.split(";")]
+        if len(rows) != 2 or len(rows[0]) != 2 or len(rows[1]) != 2:
             raise ValueError(f"matrix literal must look like 'a,b;c,d', got {text!r}")
-        entries = []
-        for row in rows:
-            parts = row.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"matrix literal must look like 'a,b;c,d', got {text!r}")
-            entries.extend(as_rational(part) for part in parts)
-        return cls(*entries)
+        return cls(*rows[0], *rows[1])
 
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
     def adjugate(self) -> "Mat2":
-        return Mat2(self.d, -self.b, -self.c, self.a)
+        return Mat2._of(self.d, -self.b, -self.c, self.a)
 
     def inverse(self) -> "Mat2":
         det = self.det()
@@ -132,16 +118,16 @@ class Mat2:
 
     def scaled(self, s: Fraction | int) -> "Mat2":
         s = as_rational(s)
-        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
+        return Mat2._of(self.a * s, self.b * s, self.c * s, self.d * s)
 
     def columns(self) -> tuple[Vec2, Vec2]:
-        return Vec2(self.a, self.c), Vec2(self.b, self.d)
+        return Vec2._of(self.a, self.c), Vec2._of(self.b, self.d)
 
     def __matmul__(self, other: "Mat2 | Vec2"):
         if isinstance(other, Vec2):
-            return Vec2(self.a * other.x + self.b * other.y, self.c * other.x + self.d * other.y)
+            return Vec2._of(self.a * other.x + self.b * other.y, self.c * other.x + self.d * other.y)
         if isinstance(other, Mat2):
-            return Mat2(
+            return Mat2._of(
                 self.a * other.a + self.b * other.c,
                 self.a * other.b + self.b * other.d,
                 self.c * other.a + self.d * other.c,
@@ -159,7 +145,7 @@ def sympl(u: Vec2, v: Vec2) -> Fraction:
 
 
 #: Matrix of the standard symplectic form, J = [[0, 1], [-1, 0]].
-STANDARD_J = Mat2(Fraction(0), Fraction(1), Fraction(-1), Fraction(0))
+STANDARD_J = Mat2(0, 1, -1, 0)
 
 
 def _canonical_basis(cols: list[Vec2], p: int) -> Mat2:
@@ -200,7 +186,7 @@ def _canonical_basis(cols: list[Vec2], p: int) -> Mat2:
     b = int(valuation(v.y, p))
     pb = p_power(p, b)
     corner = pb * fractional_part(u.y / pb, p)
-    return Mat2(p_power(p, a), Fraction(0), corner, pb)
+    return Mat2._of(p_power(p, a), Fraction(0), corner, pb)
 
 
 class Lattice:
@@ -249,7 +235,8 @@ class Lattice:
     def dual(self) -> "Lattice":
         """Symplectic dual: all u with sympl(u, v) in Z_p for every v in L."""
         k = self.canonical  # J * k**-T reduced; the residue c/d is unchanged
-        return Lattice._from_canonical(Mat2(1 / k.d, 0, k.c / (k.a * k.d), 1 / k.a), self.p)
+        dual = Mat2._of(1 / k.d, Fraction(0), k.c / (k.a * k.d), 1 / k.a)
+        return Lattice._from_canonical(dual, self.p)
 
     def is_self_dual(self) -> bool:
         """True iff L equals its dual; equivalently measure(L) = 1."""

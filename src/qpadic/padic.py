@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .value import FrozenValue
 
 __all__ = [
     "INFINITY",
@@ -29,13 +30,19 @@ __all__ = [
 #: Valuation of zero. Compares greater than every integer valuation.
 INFINITY = math.inf
 
+#: Size cap on a rational string literal, in decimal digits. Results combine
+#: a few literals, so this keeps them inside CPython's 4300-digit limit on
+#: int-to-string conversion, and bounds the time to parse and to take valuations.
+_LITERAL_DIGITS = 1000
+
 
 def as_rational(x: Fraction | int | str) -> Fraction:
     """Coerce an int, a Fraction, or a string like "-3/7" to a Fraction.
 
     Strings may use the unicode minus sign. A zero denominator or any
     other malformed literal raises ValueError rather than leaking the
-    parser's own exception types.
+    parser's own exception types, and so does a literal whose length
+    plus decimal exponent exceeds _LITERAL_DIGITS, before it is parsed.
     """
     if isinstance(x, Fraction):
         return x
@@ -43,6 +50,13 @@ def as_rational(x: Fraction | int | str) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         text = x.strip().replace("−", "-").replace("–", "-")
+        _, e, exponent = text.lower().partition("e")
+        try:
+            digits = len(text) + (abs(int(exponent)) if e else 0)
+        except ValueError:  # a malformed exponent, which Fraction rejects below
+            digits = len(text)
+        if digits > _LITERAL_DIGITS:
+            raise ValueError(f"rational literal longer than {_LITERAL_DIGITS} digits")
         try:
             return Fraction(text)
         except ZeroDivisionError:
@@ -89,6 +103,8 @@ def require_prime(p: int) -> None:
 
 def _int_valuation(n: int, p: int) -> int:
     # n != 0
+    if p == 2:
+        return (n & -n).bit_length() - 1
     n = abs(n)
     v = 0
     while n % p == 0:
@@ -140,8 +156,7 @@ def fractional_part(x: Fraction | int | str, p: int) -> Fraction:
     return Fraction(r, pk)
 
 
-@dataclass(frozen=True)
-class PhaseQ:
+class PhaseQ(FrozenValue):
     """A root of unity exp(2*pi*i*angle) carried as its exact angle.
 
     The angle is a rational reduced into [0, 1); for characters evaluated
@@ -149,16 +164,16 @@ class PhaseQ:
     angles modulo 1, so products of phases stay exact.
     """
 
-    angle: Fraction
+    __slots__ = ("angle",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", as_rational(self.angle) % 1)
+    def __new__(cls, angle) -> "PhaseQ":
+        return cls._of(as_rational(angle) % 1)
 
     def __mul__(self, other: "PhaseQ") -> "PhaseQ":
-        return PhaseQ((self.angle + other.angle) % 1)
+        return PhaseQ._of((self.angle + other.angle) % 1)
 
     def inverse(self) -> "PhaseQ":
-        return PhaseQ(-self.angle % 1)
+        return PhaseQ._of(-self.angle % 1)
 
     @property
     def is_one(self) -> bool:
@@ -170,4 +185,4 @@ class PhaseQ:
 
 def additive_character(x: Fraction | int | str, p: int) -> PhaseQ:
     """chi(x) = exp(2*pi*i*{x}_p), trivial exactly on the p-adic integers."""
-    return PhaseQ(fractional_part(x, p))
+    return PhaseQ._of(fractional_part(x, p))

@@ -17,6 +17,10 @@ from qpadic.lattice import Mat2
 from conftest import rand_symplectic
 
 
+#: Primes above the trial-division bound, so only Miller-Rabin and rho find them.
+LARGE_PRIMES = (1009, 65537, 999983, 2147483647, 1000000007)
+
+
 class TestFactorization:
     def test_integers(self):
         assert factor_integer(1) == {}
@@ -29,6 +33,30 @@ class TestFactorization:
             factor_integer(0)
         with pytest.raises(ValueError):
             factor_integer(-6)
+
+    def test_products_of_known_primes(self):
+        rng = random.Random(53)
+        small = [n for n in range(2, 3000) if all(n % d for d in range(2, int(n**0.5) + 1))]
+        for _ in range(300):
+            n, expected = 1, {}
+            for _ in range(rng.randint(0, 4)):
+                q = rng.choice(small) if rng.random() < 0.5 else rng.choice(LARGE_PRIMES)
+                if n * q < 10**24:  # below the Miller-Rabin bound
+                    n, expected[q] = n * q, expected.get(q, 0) + 1
+            assert factor_integer(n) == dict(sorted(expected.items()))
+
+    def test_squares_and_semiprimes_past_trial_division(self):
+        p, q = 1000000007, 999999937
+        assert factor_integer(p * q) == {q: 1, p: 1}
+        assert factor_integer(p * p) == {p: 2}
+        assert factor_integer(1009**3 * 2) == {2: 1, 1009: 3}
+        assert factor_integer(10**18 + 3) == {10**18 + 3: 1}
+
+    def test_refuses_to_guess(self):
+        with pytest.raises(ValueError, match="could not factor"):
+            factor_integer(1821000000013 * 1821550831741)  # past the rho budget
+        with pytest.raises(ValueError, match="too large"):
+            factor_integer(3317044064679887385961981 * 1009)  # past the Miller-Rabin bound
 
     def test_rationals(self):
         assert factor_rational(Fraction(12, 5)) == {2: 2, 3: 1, 5: -1}

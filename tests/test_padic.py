@@ -59,6 +59,14 @@ class TestValuation:
         assert valuation(0, 7) == INFINITY
         assert valuation(Fraction(0), 2) > 10**9
 
+    def test_two_adic_matches_division(self):
+        for n in [*range(-300, 0), *range(1, 300), 3 * 2**200, -(2**4000), 10**995]:
+            v, m = 0, abs(n)
+            while m % 2 == 0:
+                v, m = v + 1, m // 2
+            assert valuation(n, 2) == v
+            assert valuation(Fraction(3, n), 2) == -v
+
     def test_string_input(self):
         assert valuation("9/2", 3) == 2
         assert valuation("−1/3", 3) == -1  # unicode minus
@@ -183,6 +191,17 @@ class TestParsingAndPrimes:
             as_rational("grit")
         with pytest.raises(TypeError):
             as_rational(0.5)
+
+    def test_as_rational_size_cap(self):
+        # length plus decimal exponent may reach 1000, no further
+        assert as_rational("1e995") == 10**995
+        assert as_rational("-1E-993") == Fraction(-1, 10**993)
+        assert as_rational("7" * 1000) == int("7" * 1000)
+        for text in ("1e996", "1E-995", "1e1_000", "1e10000000", "7" * 1001, "1/" + "3" * 999):
+            with pytest.raises(ValueError, match="longer than 1000 digits"):
+                as_rational(text)
+        with pytest.raises(ValueError, match="malformed"):
+            as_rational("1e5x")
 
     def test_is_prime_table(self):
         hits = [n for n in range(60) if is_prime(n)]
