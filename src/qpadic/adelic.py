@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .lattice import Mat2
-from .padic import is_prime, p_power, require_prime, valuation
+from .padic import _MR_BOUND, is_prime, p_power, require_prime, valuation
 from .value import FrozenValue
 
 __all__ = [
@@ -29,7 +29,9 @@ __all__ = [
 
 #: Trial division stops here; larger factors go to Miller-Rabin and to rho.
 _TRIAL_BOUND = 1000
-#: Steps of Pollard-Brent rho one split may take before factoring gives up.
+#: Steps of Pollard-Brent rho one split of an n below 2^256 may take before
+#: factoring gives up. A step costs about the square of n's length, so a
+#: longer n's budget is divided by the square of its length in 128-bit units.
 _RHO_BUDGET = 1 << 19
 
 
@@ -37,15 +39,16 @@ def _rho_split(n: int) -> int:
     """A proper factor of the composite n, by Pollard-Brent rho (Brent, BIT 1980).
 
     Iterates y -> y*y + c mod n from y = 2 for c = 1, 2, ..., taking one
-    gcd per batch of 128 steps. Raises ValueError after _RHO_BUDGET steps.
+    gcd per batch of 128 steps. Raises ValueError when the budget runs out.
     """
+    budget = _RHO_BUDGET // max(1, n.bit_length() >> 7) ** 2
     steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             steps += 2 * r
-            if steps > _RHO_BUDGET:
-                raise ValueError(f"could not factor {n} within {_RHO_BUDGET} rho steps")
+            if steps > budget:
+                raise ValueError(f"could not factor {n} within {budget} rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -71,9 +74,9 @@ def factor_integer(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer.
 
     Trial division below _TRIAL_BOUND, then each cofactor is proven prime
-    by Miller-Rabin or split by Pollard-Brent rho. Rather than guess, it
-    raises ValueError when a cofactor is too large for Miller-Rabin to be
-    exact or rho runs out of its step budget.
+    by Miller-Rabin or split by Pollard-Brent rho; a cofactor at or above
+    the Miller-Rabin bound goes straight to rho. Rather than guess, it
+    raises ValueError when rho runs out of its step budget.
     """
     if n < 1:
         raise ValueError("factor_integer expects a positive integer")
@@ -89,14 +92,19 @@ def factor_integer(n: int) -> dict[int, int]:
                 out[q] = out.get(q, 0) + 1
                 n //= q
         f += 6
-    rest = [n] if n > 1 else []
+    rest = {n: 1} if n > 1 else {}  # cofactors still to split, with multiplicity
     while rest:
-        m = rest.pop()
-        if f * f > m or is_prime(m):  # no factor below f, so f * f > m makes m prime
-            out[m] = out.get(m, 0) + 1
-        else:
-            d = _rho_split(m)
-            rest += [d, m // d]
+        m, e = rest.popitem()
+        # m has no factor below f, so f * f > m makes it prime
+        if f * f > m or m < _MR_BOUND and is_prime(m):
+            out[m] = out.get(m, 0) + e
+            continue
+        d, k = _rho_split(m), 0
+        while m % d == 0:  # every power of d, so p^k does not take k - 1 splits
+            m, k = m // d, k + 1
+        rest[d] = rest.get(d, 0) + k * e
+        if m > 1:
+            rest[m] = rest.get(m, 0) + e
     return dict(sorted(out.items()))
 
 

@@ -103,8 +103,6 @@ def require_prime(p: int) -> None:
 
 def _int_valuation(n: int, p: int) -> int:
     # n != 0
-    if p == 2:
-        return (n & -n).bit_length() - 1
     n = abs(n)
     v = 0
     while n % p == 0:

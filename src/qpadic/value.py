@@ -1,10 +1,5 @@
 """Base of the exact layer's immutable value types, kept light to import."""
 
-from operator import attrgetter
-
-_new = object.__new__
-_set = object.__setattr__
-
 
 class FrozenValue:
     """A value whose fields are its ``__slots__``, in order.
@@ -17,27 +12,26 @@ class FrozenValue:
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:
-        get = attrgetter(*cls.__slots__)
-        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
-
     @classmethod
     def _of(cls, *fields):
-        self = _new(cls)
+        self = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
-            _set(self, name, value)
+            object.__setattr__(self, name, value)
         return self
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields(self) == self._fields(other)
+        return self._fields() == other._fields()
 
     def __hash__(self) -> int:
-        return hash(self._fields(self))
+        return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -48,4 +42,4 @@ class FrozenValue:
 
     def __reduce__(self):
         # the default reduction restores slots by assignment, which is refused
-        return type(self), self._fields(self)
+        return type(self), self._fields()

@@ -1,5 +1,6 @@
 """Factorization and the exact sum-zero property of gains over all places."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -51,12 +52,20 @@ class TestFactorization:
         assert factor_integer(p * p) == {p: 2}
         assert factor_integer(1009**3 * 2) == {2: 1, 1009: 3}
         assert factor_integer(10**18 + 3) == {10**18 + 3: 1}
+        # cofactors at or above the Miller-Rabin bound go straight to rho
+        assert factor_integer(1009**9) == {1009: 9}
+        assert factor_integer(1009**600) == {1009: 600}  # one split finds 1009^j at once
+        primes = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 9973)
+        assert factor_integer(math.prod(primes) * 2**5) == {2: 5, **dict.fromkeys(primes, 1)}
+        assert factor_integer(p**3) == {p: 3}
 
     def test_refuses_to_guess(self):
         with pytest.raises(ValueError, match="could not factor"):
             factor_integer(1821000000013 * 1821550831741)  # past the rho budget
-        with pytest.raises(ValueError, match="too large"):
-            factor_integer(3317044064679887385961981 * 1009)  # past the Miller-Rabin bound
+        with pytest.raises(ValueError, match="could not factor"):
+            factor_integer(2**89 - 1)  # a prime past the Miller-Rabin bound
+        with pytest.raises(ValueError, match="could not factor"):
+            factor_integer(3317044064679887385961981 * 1009)  # 13-digit factors of the bound
 
     def test_rationals(self):
         assert factor_rational(Fraction(12, 5)) == {2: 2, 3: 1, 5: -1}
