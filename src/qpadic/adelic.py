@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .lattice import Mat2
-from .padic import _MR_BOUND, is_prime, p_power, require_prime, valuation
+from .padic import _MR_BOUND, _valuation, is_prime, p_power, require_prime
 from .value import FrozenValue
 
 __all__ = [
@@ -121,10 +121,14 @@ def factor_rational(q: Fraction) -> dict[int, int]:
 def gain_exponent(transform: Mat2, p: int) -> int:
     """Exponent g with gain = g * log(p) at prime p, i.e. g = -v_p(det K)."""
     require_prime(p)
+    return _gain_exponent(transform, p)
+
+
+def _gain_exponent(transform: Mat2, p: int) -> int:
     det = transform.det()
     if det == 0:
         raise ValueError("transform must be nonsingular")
-    return -int(valuation(det, p))
+    return -_valuation(det, p)
 
 
 class AdelicGainReport(FrozenValue):
@@ -150,7 +154,7 @@ def adelic_report(transform: Mat2) -> AdelicGainReport:
     if det == 0:
         raise ValueError("transform must be nonsingular")
     real = factor_rational(det)
-    primes = {q: gain_exponent(transform, q) for q in real}
+    primes = {q: _gain_exponent(transform, q) for q in real}  # factoring proved each q prime
     product = math.prod(p_power(q, e) for q, e in real.items())
     sum_is_zero = product == abs(det) and all(primes[q] + e == 0 for q, e in real.items())
     return AdelicGainReport(det=det, prime_gains=primes, real_gain=real, sum_is_zero=sum_is_zero)

@@ -19,12 +19,13 @@ K^-1 L_state intersect L_noise and shift adj(K) * alpha.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
-from .adelic import gain_exponent
+from .adelic import _gain_exponent
 from .errors import InvariantViolation, NotAChannelError, NotAStateError
 from .ledger import LogLedger
 from .lattice import Lattice, Mat2, Vec2, sympl
-from .padic import PhaseQ, additive_character, p_power, padic_norm, valuation
+from .padic import PhaseQ, _norm, _valuation, additive_character, p_power, require_prime
 from .value import FrozenValue
 
 __all__ = [
@@ -72,7 +73,7 @@ class GaussianState:
 
     def rank_exponent(self) -> int:
         """The state is 1/rank times a projector of rank p**n; returns n."""
-        return int(-valuation(self.lattice.measure, self.p))
+        return -_valuation(self.lattice.measure, self.p)
 
     def is_pure(self) -> bool:
         """Purity is exactly self-duality of the lattice."""
@@ -95,32 +96,40 @@ class ChannelValidity(FrozenValue):
 
 
 def channel_validity(transform: Mat2, noise: Lattice) -> ChannelValidity:
+    require_prime(noise.p)
+    return _validity(transform, noise)
+
+
+def _validity(transform: Mat2, noise: Lattice) -> ChannelValidity:
     det = transform.det()
     if det == 0:
         raise ValueError("channel transform must be nonsingular")
-    n1 = padic_norm(1 - det, noise.p)
+    n1 = _norm(1 - det, noise.p)
     product = n1 * noise.measure
     return ChannelValidity(n1, noise.measure, product, product <= 1)
 
 
 class GaussianChannel:
-    """Admissible Gaussian channel (transform K, noise lattice)."""
+    """Admissible Gaussian channel (K, L_noise); immutable, so K^-1, n0 and K^-1 L are derived once."""
 
-    __slots__ = ("transform", "noise")
+    __slots__ = ("_transform", "_noise", "_inverse", "_adjugate", "_threshold", "_pulled")
+    transform = property(attrgetter("_transform"), doc="The transform K (read-only).")
+    noise = property(attrgetter("_noise"), doc="The noise lattice (read-only).")
 
     def __init__(self, transform: Mat2, noise: Lattice):
-        check = channel_validity(transform, noise)
+        check = _validity(transform, noise)
         if not check.ok:
             raise NotAChannelError(
                 "admissibility fails: |1 - det K|_p * measure = "
                 f"{check.one_minus_det_norm} * {check.noise_measure} = {check.product} > 1"
             )
-        self.transform = transform
-        self.noise = noise
+        self._transform, self._noise, self._adjugate = transform, noise, transform.adjugate()
+        self._inverse = self._adjugate.scaled(1 / transform.det())
+        self._threshold = self._pulled = None
 
     @property
     def p(self) -> int:
-        return self.noise.p
+        return self._noise.p
 
     def __repr__(self) -> str:
         return f"GaussianChannel(p={self.p}, transform='{self.transform}', noise='{self.noise.canonical}')"
@@ -135,17 +144,16 @@ class GaussianChannel:
         """
         if state.p != self.p:
             raise ValueError(f"prime mismatch: state at {state.p}, channel at {self.p}")
-        pulled = state.lattice.transformed(self.transform.inverse())
-        out = pulled & self.noise
+        out = state.lattice.transformed(self._inverse) & self._noise
         if out.measure > 1:
             raise InvariantViolation(
                 f"admissible channel produced output measure {out.measure} > 1"
             )
-        return GaussianState(out, self.transform.adjugate() @ state.shift)
+        return GaussianState(out, self._adjugate @ state.shift)
 
     def entropy_gain(self) -> LogLedger:
         """Exact entropy gain: log of |det K|_p, i.e. exponent -v_p(det K)."""
-        return LogLedger.single(self.p, gain_exponent(self.transform, self.p))
+        return LogLedger.single(self.p, _gain_exponent(self._transform, self.p))
 
     def witness_threshold(self) -> int:
         """Smallest n0 >= 0 such that the shrinking-noise witness works for all n >= n0.
@@ -161,26 +169,33 @@ class GaussianChannel:
           measure(p**n L) <= 1       iff  2n >= -s;
           measure(K^-1 p**n L) <= 1  iff  2n >= -s - g.
         """
-        p, basis = self.p, self.noise.canonical
-        s = int(valuation(basis.det(), p))
-        g = gain_exponent(self.transform, p)
-        m = basis.inverse() @ self.transform.inverse() @ basis
-        containment = -min(valuation(x, p) for x in (m.a, m.b, m.c, m.d) if x != 0)
-        return max(0, containment, -(s // 2), -((s + g) // 2))
+        if self._threshold is None:
+            p, basis = self.p, self._noise.canonical
+            s = _valuation(basis.det(), p)
+            g = _gain_exponent(self._transform, p)
+            m = basis.inverse() @ self._inverse @ basis
+            containment = -min(_valuation(x, p) for x in (m.a, m.b, m.c, m.d) if x != 0)
+            self._threshold = max(0, containment, -(s // 2), -((s + g) // 2))
+        return self._threshold
+
+    def _pulled_noise(self) -> Lattice:
+        """K^-1 L_noise, reduced once per channel."""
+        if self._pulled is None:
+            self._pulled = self._noise.transformed(self._inverse)
+        return self._pulled
 
     def entropy_gain_witness(self, n: int) -> LogLedger:
         """Entropy difference realized on the witness state gamma(p**n * L).
 
         For n at or above the threshold the output lattice is exactly
-        K^-1 * (p**n L), so the difference of exact entropies equals the
-        closed-form gain; both sides are ledgers and compare exactly.
+        K^-1 * (p**n L), checked against p**n * (K^-1 L) scaled in closed
+        form, so the difference of exact entropy ledgers equals the gain.
         """
         if n < self.witness_threshold():
             raise ValueError(f"witness index {n} is below the threshold")
-        inp = GaussianState(self.noise.scaled(n))
+        inp = GaussianState(self._noise.scaled(n))
         out = self.apply(inp)
-        expected = inp.lattice.transformed(self.transform.inverse())
-        if out.lattice != expected:
+        if out.lattice != self._pulled_noise().scaled(n):
             raise InvariantViolation("witness output lattice is not the pulled-back input")
         return out.entropy() - inp.entropy()
 
@@ -191,8 +206,7 @@ class GaussianChannel:
         checked on every call against p**(-g) for the closed-form gain
         exponent g.
         """
-        pulled = self.noise.transformed(self.transform.inverse())
-        norm = pulled.measure / self.noise.measure
-        if norm != p_power(self.p, -gain_exponent(self.transform, self.p)):
+        norm = self._pulled_noise().measure / self._noise.measure
+        if norm != p_power(self.p, -_gain_exponent(self._transform, self.p)):
             raise InvariantViolation("identity-output norm disagrees with entropy gain")
         return norm

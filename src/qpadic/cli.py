@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .adelic import adelic_report, gain_exponent
@@ -38,6 +39,11 @@ def _ledger_payload(ledger: LogLedger, base: str) -> dict:
         "terms": {str(q): e for q, e in ledger.terms.items()},
         f"value_base_{base}": ledger.render(base),
     }
+
+
+def _abbreviated(message: str) -> str:
+    # a long integer echoed from the input would flood stderr; say how long it is instead
+    return re.sub(r"\d{31,}", lambda run: f"a {len(run[0])}-digit integer", message)
 
 
 def _emit(payload: dict, args) -> None:
@@ -179,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_abbreviated(str(exc))}", file=sys.stderr)
         return 1
     try:
         _emit(payload, args)

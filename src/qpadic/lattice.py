@@ -14,9 +14,9 @@ normalized away) and whose corner entry c is the canonical representative
 of its residue class modulo p**b * Z_p, namely c = p**b * {c0 / p**b}_p.
 The representative can have negative valuation when the class genuinely
 does (e.g. basis [[1,0],[1/2,1]] at p = 2 reduces to itself). Two
-lattices are equal iff their canonical bases match entrywise. A user basis,
-the generators of a sum and the image of a transform are reduced to it;
-duals and scalings are built in it in closed form, with no reduction.
+lattices are equal iff their canonical bases match entrywise. A user basis
+and the image of a transform are reduced to it; duals, scalings, sums and
+intersections are built in it in closed form, with no reduction.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .padic import as_rational, fractional_part, p_power, require_prime, valuation
+from .padic import _fractional_part, _norm, _valuation, as_rational, p_power, require_prime, valuation
 from .value import FrozenValue
 
 __all__ = [
@@ -164,7 +164,7 @@ def _canonical_basis(cols: list[Vec2], p: int) -> Mat2:
       4. reduce the corner entry modulo p**b * Z_p to its canonical
          residue p**b * {y / p**b}_p.
     """
-    first_row = [(valuation(col.x, p), i) for i, col in enumerate(cols) if col.x != 0]
+    first_row = [(_valuation(col.x, p), i) for i, col in enumerate(cols) if col.x != 0]
     if not first_row:
         raise ValueError("generators do not span the plane")
     _, i0 = min(first_row)
@@ -176,16 +176,15 @@ def _canonical_basis(cols: list[Vec2], p: int) -> Mat2:
         if col.x != 0:
             col = col - u.scaled(col.x / u.x)
         if col.y != 0:
-            second_row.append((valuation(col.y, p), i, col))
+            second_row.append((_valuation(col.y, p), i, col))
     if not second_row:
         raise ValueError("generators do not span the plane")
     _, _, v = min(second_row, key=lambda item: item[:2])
 
-    a = int(valuation(u.x, p))
+    a = _valuation(u.x, p)
     u = u.scaled(p_power(p, a) / u.x)
-    b = int(valuation(v.y, p))
-    pb = p_power(p, b)
-    corner = pb * fractional_part(u.y / pb, p)
+    pb = p_power(p, _valuation(v.y, p))
+    corner = pb * _fractional_part(u.y / pb, p)
     return Mat2._of(p_power(p, a), Fraction(0), corner, pb)
 
 
@@ -253,14 +252,21 @@ class Lattice:
         return other.contains(u) and other.contains(v)
 
     def __add__(self, other: "Lattice") -> "Lattice":
-        """Smallest lattice containing both summands (Z_p-module sum)."""
-        self._require_same_prime(other)
-        cols = [*self.canonical.columns(), *other.canonical.columns()]
-        return Lattice._from_canonical(_canonical_basis(cols, self.p), self.p)
+        """Smallest lattice containing both summands, through duality: (L1* & L2*)*."""
+        return (self.dual() & other.dual()).dual()
 
     def __and__(self, other: "Lattice") -> "Lattice":
-        """Intersection, computed through duality: (L1* + L2*)*."""
-        return (self.dual() + other.dual()).dual()
+        """Intersection, read off the canonical bases [[p**a, 0], [c, p**b]].
+
+        With sigma = c / p**a, L = {(x, y) : v(x) >= a, v(y - sigma * x) >= b}, so for
+        b1 >= b2, L1 & L2 has b = b1 and a = max(a1, a2, b2 - v(sigma1 - sigma2)).
+        """
+        self._require_same_prime(other)
+        two, one = sorted((self.canonical, other.canonical), key=lambda k: k.d)  # b1 >= b2
+        p, sigma = self.p, one.c / one.a
+        pa = max(one.a, two.a, two.d * _norm(sigma - two.c / two.a, p))
+        corner = one.d * _fractional_part(sigma * pa / one.d, p)
+        return Lattice._from_canonical(Mat2._of(pa, Fraction(0), corner, one.d), p)
 
     def scaled(self, n: int) -> "Lattice":
         """p**n * L. Scaling multiplies the (2-dimensional) measure by p**(-2n)."""
@@ -270,7 +276,8 @@ class Lattice:
         """Image g * L under a nonsingular rational matrix."""
         if g.det() == 0:
             raise ValueError("transform must be nonsingular")
-        return Lattice(g @ self.canonical, self.p)
+        cols = list((g @ self.canonical).columns())
+        return Lattice._from_canonical(_canonical_basis(cols, self.p), self.p)
 
     def symplectic_basis(self) -> tuple[Vec2, Vec2]:
         """Generators u, v of a self-dual lattice with sympl(u, v) = 1 exactly."""
@@ -288,7 +295,7 @@ class Lattice:
         unimodular in the determinant-one sense.
         """
         u, v = self.canonical.columns()
-        n = int(-valuation(self.measure, self.p))
+        n = -_valuation(self.measure, self.p)
         return Mat2.from_columns(u.scaled(p_power(self.p, -n)), v), n
 
 

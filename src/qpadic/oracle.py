@@ -73,7 +73,8 @@ class WeylSystem:
             raise ValueError(f"p must be an odd prime, got {self.p!r}")
         if not isinstance(self.N, int) or self.N <= 0 or self.N % 2:
             raise ValueError(f"N must be a positive even integer, got {self.N!r}")
-        if self.p**self.N > DIMENSION_CAP:
+        # 2**N > DIMENSION_CAP already rules out a huge N before p**N is taken
+        if self.N >= DIMENSION_CAP.bit_length() or self.p**self.N > DIMENSION_CAP:
             raise ValueError(
                 f"dimension {self.p}**{self.N} exceeds the cap {DIMENSION_CAP}"
             )

@@ -114,7 +114,11 @@ def _int_valuation(n: int, p: int) -> int:
 def valuation(x: Fraction | int | str, p: int) -> int | float:
     """p-adic valuation of a rational. Zero maps to INFINITY."""
     require_prime(p)
-    q = as_rational(x)
+    return _valuation(as_rational(x), p)
+
+
+def _valuation(q: Fraction, p: int) -> int | float:
+    # this and the other private helpers take a prime the caller has checked
     if q == 0:
         return INFINITY
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
@@ -127,10 +131,12 @@ def p_power(p: int, e: int) -> Fraction:
 
 def padic_norm(x: Fraction | int | str, p: int) -> Fraction:
     """|x|_p = p**(-v_p(x)) as an exact Fraction. |0|_p = 0."""
-    v = valuation(x, p)
-    if v == INFINITY:
-        return Fraction(0)
-    return p_power(p, -v)
+    require_prime(p)
+    return _norm(as_rational(x), p)
+
+
+def _norm(q: Fraction, p: int) -> Fraction:
+    return Fraction(0) if q == 0 else p_power(p, -_valuation(q, p))
 
 
 def fractional_part(x: Fraction | int | str, p: int) -> Fraction:
@@ -142,12 +148,14 @@ def fractional_part(x: Fraction | int | str, p: int) -> Fraction:
     part m is inverted modulo p**k, giving r = (a * m^-1 mod p**k) / p**k.
     """
     require_prime(p)
-    q = as_rational(x)
-    v = valuation(q, p)
+    return _fractional_part(as_rational(x), p)
+
+
+def _fractional_part(q: Fraction, p: int) -> Fraction:
+    v = _valuation(q, p)
     if v >= 0:
         return Fraction(0)
-    k = -int(v)
-    pk = p**k
+    pk = p**-v
     # gcd(num, den) = 1 and v_p(q) = -k force den = p**k * m with m coprime to p
     m = q.denominator // pk
     r = (q.numerator * pow(m, -1, pk)) % pk

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import qpadic.channels
+import qpadic.lattice
 from qpadic.channels import GaussianChannel, GaussianState, channel_validity
 from qpadic.errors import NotAChannelError, NotAStateError
 from qpadic.lattice import Lattice, Mat2, Vec2, standard_lattice, sympl
@@ -308,6 +310,54 @@ class TestGainLaw:
                 chan = rand_valid_channel(rng, p)
                 norm = chan.identity_output_norm()
                 assert LogLedger.single(p, -int(valuation(norm, p))) == chan.entropy_gain()
+
+
+class TestDerivedOnce:
+    """A channel is immutable and derives K^-1, its threshold and K^-1 L once."""
+
+    def test_witness_reductions(self, monkeypatch):
+        rng = random.Random(43)
+        channels = [rand_valid_channel(rng, p) for p in PRIMES for _ in range(4)]
+        calls = []
+        reduce = qpadic.lattice._canonical_basis
+
+        def counting(cols, p):
+            calls.append(p)
+            return reduce(cols, p)
+
+        monkeypatch.setattr(qpadic.lattice, "_canonical_basis", counting)
+        for chan in channels:
+            n0 = chan.witness_threshold()
+            calls.clear()
+            chan.entropy_gain_witness(n0)  # one in apply, one for K^-1 L
+            assert len(calls) == 2
+            chan.entropy_gain_witness(n0 + 1)  # apply alone
+            assert len(calls) == 3
+
+    def test_threshold_computed_once(self, monkeypatch):
+        chan = GaussianChannel(Mat2.diagonal(9, 1), standard_lattice(3))
+        calls = []
+        gain = qpadic.channels._gain_exponent
+
+        def counting(k, p):
+            calls.append(p)
+            return gain(k, p)
+
+        monkeypatch.setattr(qpadic.channels, "_gain_exponent", counting)
+        assert [chan.witness_threshold() for _ in range(3)] == [2, 2, 2]
+        chan.entropy_gain_witness(2)
+        chan.entropy_gain_witness(3)
+        assert len(calls) == 1
+
+    def test_fields_refuse_assignment(self):
+        chan = GaussianChannel(Mat2.diagonal(3, 1), standard_lattice(3))
+        with pytest.raises(AttributeError):
+            chan.transform = Mat2.identity()
+        with pytest.raises(AttributeError):
+            chan.noise = diag_lattice(3, 3, 3)
+        with pytest.raises(AttributeError):
+            del chan.noise
+        assert chan.transform == Mat2.diagonal(3, 1) and chan.noise == standard_lattice(3)
 
 
 class TestLedger:

@@ -247,12 +247,46 @@ class TestBoundedTime:
         proc = self.bounded_cli("adelic", "--K", f"{big},1;1,{big}")
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: could not factor")
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 200
 
     def test_determinant_past_the_rho_budget_is_one(self):
         # two 13-digit primes whose product sits just under the Miller-Rabin bound
         proc = self.bounded_cli("adelic", "--K", f"{1821000000013 * 1821550831741},0;0,1")
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: could not factor")
+
+
+    @pytest.mark.parametrize(
+        "prime",
+        [str(10**1999 + 1), "7" * 5000],
+        ids=["past-primality-bound", "past-int-conversion-limit"],
+    )
+    def test_long_integer_in_error_is_abbreviated(self, prime):
+        # the error line echoed the whole number, from is_prime (2,049 bytes) or
+        # from argparse's "invalid int value" (5,043 bytes)
+        proc = self.bounded_cli("lattice", "measure", "--p", prime, "--basis", "3,0;0,1")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert len(proc.stderr.encode()) < 200
+        assert f"a {len(prime)}-digit integer" in proc.stderr
+
+    def test_huge_oracle_window_is_one(self):
+        # 3**N was taken before its comparison with the dimension cap; N = 10**9 ran past 10 s
+        proc = self.bounded_cli("oracle", "--p", "3", "--N", "1000000000")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    def test_worst_capped_literal_intersects(self):
+        # 2**3321 is the largest power of 2 within the 1000-digit literal cap, so at
+        # p = 2 each of its valuations is the longest division loop the cap allows
+        big = 2**3321
+        a, b = f"{big},{big};0,{big}", f"{big},0;{big},1"
+        meet = self.bounded_cli("lattice", "intersect", "--p", "2", "--a", a, "--b", b)
+        join = self.bounded_cli("lattice", "sum", "--p", "2", "--a", a, "--b", b)
+        assert meet.returncode == join.returncode == 0
+        # [A : A & B] = [A + B : B], so measure(A & B) * measure(A + B) = measure(A) * measure(B)
+        measures = [Fraction(json.loads(proc.stdout)["measure"]) for proc in (meet, join)]
+        assert measures[0] * measures[1] == Fraction(1, big**2) * Fraction(1, big)
 
 
 class TestClosedPipe:

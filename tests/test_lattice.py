@@ -5,6 +5,7 @@ checked through membership of generators, which exercises a different
 code path (linear solve + valuations) than canonical-form comparison.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -42,6 +43,18 @@ def generic_dual(basis: Mat2, p: int) -> Lattice:
     inv = basis.inverse()
     inverse_transpose = Mat2(inv.a, inv.c, inv.b, inv.d)
     return Lattice(STANDARD_J @ inverse_transpose, p)
+
+
+def generic_sum(x: Mat2, y: Mat2, p: int) -> Lattice:
+    """The columns of both bases reduced together: the sum by the generic route."""
+    return Lattice(qpadic.lattice._canonical_basis([*x.columns(), *y.columns()], p), p)
+
+
+def generic_intersection(a: Lattice, b: Lattice) -> Lattice:
+    """(A* + B*)* with both duals, the sum and the final dual reduced from scratch."""
+    p = a.p
+    dual_sum = generic_sum(generic_dual(a.basis, p).basis, generic_dual(b.basis, p).basis, p)
+    return generic_dual(dual_sum.basis, p)
 
 
 def is_p_power(q: Fraction, p: int) -> bool:
@@ -342,9 +355,10 @@ class TestContainment:
 class TestClosedForms:
     """Closed-form derived lattices against the generic reduction.
 
-    `dual`, `scaled`, `measure` and `is_self_dual` read their results off
-    the canonical basis; here every one is compared with a lattice reduced
-    from a raw basis, which keeps two independent routes for criteria 1-2.
+    `dual`, `scaled`, `measure`, `is_self_dual`, `&` and `+` read their
+    results off the canonical bases; here every one is compared with a
+    lattice reduced from raw generators, which keeps two independent routes
+    for criteria 1-2.
     """
 
     @pytest.fixture(scope="class")
@@ -373,6 +387,47 @@ class TestClosedForms:
         assert verdicts == [generic_dual(lat.basis, lat.p) == lat for lat in corpus]
         assert any(verdicts) and not all(verdicts)
 
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = random.Random(28)
+        return [(rand_lattice(rng, p), rand_lattice(rng, p)) for p in PRIMES for _ in range(200)]
+
+    def test_intersection_matches_generic_route(self, pairs):
+        assert len(pairs) >= 1000
+        # both orders of the b exponents, and ties, occur in the corpus
+        orders = {(a.canonical.d > b.canonical.d) - (a.canonical.d < b.canonical.d) for a, b in pairs}
+        assert orders == {-1, 0, 1}
+        for a, b in pairs:
+            assert a & b == generic_intersection(a, b)
+
+    def test_sum_matches_generic_route(self, pairs):
+        for a, b in pairs:
+            assert a + b == generic_sum(a.basis, b.basis, a.p)
+
+    @pytest.mark.parametrize(
+        "a, b, meet, join",
+        [
+            # equal b, slopes 0 and 1 differ by a unit: a rises to b
+            ("1,0;0,3", "1,0;1,3", "3,0;0,3", "1,0;0,1"),
+            # equal slopes 0: the exponents take their maxima and minima
+            ("9,0;0,3", "1,0;0,9", "9,0;0,9", "1,0;0,3"),
+            # equal slopes 1, and nested: the smaller lattice meets, the larger joins
+            ("1,0;1,9", "3,0;3,27", "3,0;3,27", "1,0;1,9"),
+            # nested with different slopes
+            ("1,0;0,1", "3,0;1,3", "3,0;1,3", "1,0;0,1"),
+        ],
+    )
+    def test_pinned_meets_and_joins(self, a, b, meet, join):
+        one, two = Lattice(Mat2.parse(a), 3), Lattice(Mat2.parse(b), 3)
+        for x, y in ((one, two), (two, one)):
+            assert x & y == Lattice(Mat2.parse(meet), 3)
+            assert x + y == Lattice(Mat2.parse(join), 3)
+
+    @pytest.mark.parametrize("op", [operator.and_, operator.add], ids=["intersect", "sum"])
+    def test_prime_mismatch(self, op):
+        with pytest.raises(ValueError, match="prime mismatch"):
+            op(standard_lattice(3), standard_lattice(5))
+
 
 class TestReductionCount:
     """Only raw generators are reduced: derived lattices are built canonical."""
@@ -381,8 +436,8 @@ class TestReductionCount:
         "op, expected",
         [
             ("construct", 1),
-            ("sum", 1),
-            ("intersect", 1),
+            ("sum", 0),
+            ("intersect", 0),
             ("transformed", 1),
             ("dual", 0),
             ("scaled", 0),
