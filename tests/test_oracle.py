@@ -13,9 +13,11 @@ from fractions import Fraction
 
 from qpadic.channels import GaussianState
 from qpadic.errors import NotAStateError
-from qpadic.lattice import Mat2, Vec2, standard_lattice
+from qpadic.lattice import Lattice, Mat2, Vec2, standard_lattice
 from qpadic.oracle import (
     WeylSystem,
+    _indicator,
+    _subgroup_density,
     ccr_deviation,
     ccr_scan,
     channel_scan,
@@ -32,6 +34,20 @@ from qpadic.oracle import (
 )
 
 SYS = WeylSystem(3, 2)
+BATTERY_SYSTEMS = ((3, 2), (5, 2), (7, 2), (3, 4))
+
+
+def weyl_sum_density(system, mask):
+    """p^(-N) * sum of W(-z1, -z2) over the set points of mask, one operator at a time."""
+    d = system.dim
+    rho = np.zeros((d, d), dtype=complex)
+    for z1, z2 in zip(*np.nonzero(mask)):
+        rho += weyl_operator(system, -int(z1), -int(z2))
+    return rho / d
+
+
+def product_mask(system, k1, k2):
+    return np.outer(_indicator(system, k1), _indicator(system, k2))
 
 
 class TestSystemParameters:
@@ -152,6 +168,29 @@ class TestGaussianDensities:
         assert np.abs(a - c).max() < 1e-12
 
 
+class TestDensityBuilder:
+    """The DFT builder against the plain sum of Weyl operators it stands for."""
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
+    def test_matches_weyl_sum(self, p, n):
+        system = WeylSystem(p, n)
+        d = system.dim
+        rng = np.random.default_rng(62)
+        masks = [product_mask(system, k1, k2) for k1 in range(n + 1) for k2 in range(n + 1)]
+        masks += [rng.random((d, d)) < 0.3 for _ in range(5)]
+        for mask in masks:
+            assert np.abs(_subgroup_density(system, mask) - weyl_sum_density(system, mask)).max() < 1e-12
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
+    def test_gaussian_density_matches_weyl_sum(self, p, n):
+        system = WeylSystem(p, n)
+        m = system.window
+        for e1 in range(-m, m + 1):
+            for e2 in range(max(-m, -e1), m + 1):
+                want = weyl_sum_density(system, product_mask(system, m + e1, m + e2))
+                assert np.abs(gaussian_density(system, e1, e2) - want).max() < 1e-12
+
+
 class TestExactFiniteShiftConvention:
     def test_char_agrees_with_exact_state(self):
         p, m, d = 3, SYS.window, SYS.dim
@@ -260,6 +299,56 @@ class TestChannelScan:
         assert str(lat.canonical) == "3,0;0,1/3"
         assert lat.measure == 1
 
+    def test_exponent_lattice_matches_reduction(self):
+        # the closed form skips the reduction; compare it with a reduced user basis
+        for p, n in BATTERY_SYSTEMS:
+            m = WeylSystem(p, n).window
+            for e1 in range(-m, m + 1):
+                for e2 in range(-m, m + 1):
+                    lat = exponent_lattice(p, e1, e2)
+                    want = Lattice(Mat2.diagonal(Fraction(p) ** e1, Fraction(p) ** e2), p)
+                    assert lat == want and lat.measure == want.measure
+        with pytest.raises(ValueError, match="not a prime"):
+            exponent_lattice(9, 0, 0)
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
+    def test_shared_masks_keep_their_own_spectra(self, p, n, monkeypatch):
+        # shears make non-product output masks; a case must never carry another case's spectrum
+        system = WeylSystem(p, n)
+        d, m = system.dim, system.window
+        z1, z2 = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            solves.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        total = 0
+        for k in ((1, 1, 0, 1), (2, 1, 1, 1), (1, 1, 1, 1 + p)):
+            for noise in ((0, 0), (-1, 0), (1, -1)):
+                cases = channel_scan(system, Mat2(*k), noise)
+                total += len(cases)
+                noise_mask = product_mask(system, m + noise[0], m + noise[1])
+                for case in cases:
+                    assert case.agree
+                    g, h = case.input_exponents
+                    mask = (
+                        _indicator(system, m + g)[(k[0] * z1 + k[1] * z2) % d]
+                        & _indicator(system, m + h)[(k[2] * z1 + k[3] * z2) % d]
+                        & noise_mask
+                    )
+                    fresh = eigvalsh(weyl_sum_density(system, mask))
+                    assert np.abs(np.array(case.spectrum) - fresh).max() < 1e-12
+        assert 0 < len(solves) < total
+
+
+def output_lattice(p, case):
+    """Exact output lattice K^-1 L_in & L_noise of a reported scan case."""
+    inverse = Mat2(*case["transform"]).inverse()
+    return exponent_lattice(p, *case["input"]).transformed(inverse) & exponent_lattice(p, *case["noise"])
+
 
 class TestBattery:
     def test_full_battery_passes(self):
@@ -296,7 +385,13 @@ class TestBattery:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         report = run_battery(SYS)
-        assert len(calls) == len(report["states"]) + len(report["channel_cases"])
+        # one solve per distinct output lattice within each (transform, noise) scan
+        outputs = {
+            (tuple(case["transform"]), tuple(case["noise"]), output_lattice(SYS.p, case))
+            for case in report["channel_cases"]
+        }
+        assert len(report["channel_cases"]) == 78 and len(outputs) == 45
+        assert len(calls) == len(report["states"]) + len(outputs)
 
     def test_max_cases_truncates(self):
         report = run_battery(SYS, max_cases=5)
