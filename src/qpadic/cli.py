@@ -15,8 +15,8 @@ import os
 import re
 import sys
 
-from .adelic import _gain_exponent, adelic_report
-from .channels import GaussianChannel, GaussianState, _validity
+from .adelic import adelic_report, gain_exponent
+from .channels import GaussianChannel, GaussianState, channel_validity
 from .errors import InvariantViolation
 from .lattice import Lattice, Mat2, Vec2
 from .ledger import LogLedger
@@ -31,8 +31,7 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _parse_lattice(text: str, p: int) -> Lattice:
-    # each command checks --p once, up front
-    return Lattice(Mat2.parse(text), p, _prime_checked=True)
+    return Lattice(Mat2.parse(text), p)
 
 
 def _ledger_payload(ledger: LogLedger, base: str) -> dict:
@@ -79,7 +78,7 @@ def _cmd_channel(args) -> tuple[dict, int]:
     require_prime(args.p)
     transform = Mat2.parse(args.transform)
     if args.action == "gain":
-        exponent = _gain_exponent(transform, args.p)
+        exponent = gain_exponent(transform, args.p)
         ledger = LogLedger.single(args.p, exponent)
         return {
             "exponent": exponent,
@@ -88,7 +87,7 @@ def _cmd_channel(args) -> tuple[dict, int]:
         }, 0
     noise = _parse_lattice(args.noise, args.p)
     if args.action == "validate":
-        check = _validity(transform, noise)
+        check = channel_validity(transform, noise)
         return {
             "valid": check.ok,
             "one_minus_det_norm": str(check.one_minus_det_norm),

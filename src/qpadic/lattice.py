@@ -199,10 +199,8 @@ class Lattice:
 
     __slots__ = ("p", "basis", "canonical", "measure")
 
-    def __init__(self, basis: Mat2, p: int, *, _prime_checked: bool = False):
-        # a caller that has already checked p (the CLI, once per command) skips the retest
-        if not _prime_checked:
-            require_prime(p)
+    def __init__(self, basis: Mat2, p: int):
+        require_prime(p)
         if basis.det() == 0:
             raise ValueError("lattice basis must be nonsingular")
         self.p = p

@@ -14,7 +14,6 @@ import pytest
 
 import qpadic.cli as cli
 import qpadic.oracle
-import qpadic.padic
 from qpadic.errors import InvariantViolation
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -156,33 +155,6 @@ class TestOracleCommand:
         code, out, _ = run_cli(["oracle", "--p", "3", "--N", "2"])
         assert code == 2
         assert json.loads(out)["all_checks_pass"] is False
-
-
-class TestPrimeCheckedOnce:
-    """Each command tests --p once up front; its parsed lattices do not test it again."""
-
-    @pytest.mark.parametrize(
-        "args",
-        [args for _, args in sorted(GOLDEN_CASES.items()) if "--p" in args],
-        ids=lambda args: "-".join(args[:2]),
-    )
-    def test_one_primality_test_per_command(self, args, monkeypatch):
-        calls = []
-        is_prime = qpadic.padic.is_prime
-
-        def counted(n):
-            calls.append(n)
-            return is_prime(n)
-
-        monkeypatch.setattr(qpadic.padic, "is_prime", counted)
-        code, _, err = run_cli(args)
-        assert code == 0 and err == ""
-        assert calls == [int(args[args.index("--p") + 1])]
-
-    def test_non_prime_is_refused_before_parsing(self):
-        # the upfront check still runs first, ahead of the malformed basis
-        code, out, err = run_cli(["lattice", "intersect", "--p", "9", "--a", "junk", "--b", "1,0;0,1"])
-        assert (code, out, err) == (1, "", "error: 9 is not a prime\n")
 
 
 def run_subprocess(args, timeout):
