@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .lattice import Mat2
-from .padic import _MR_BOUND, _valuation, is_prime, p_power, require_prime
+from .padic import p_power, require_prime, valuation
 from .value import FrozenValue
 
 __all__ = [
@@ -71,12 +71,12 @@ def _rho_split(n: int) -> int:
 
 
 def factor_integer(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer.
+    """Prime factorization of a positive integer, keyed by Prime.
 
-    Trial division below _TRIAL_BOUND, then each cofactor is proven prime
-    by Miller-Rabin or split by Pollard-Brent rho; a cofactor at or above
-    the Miller-Rabin bound goes straight to rho. Rather than guess, it
-    raises ValueError when rho runs out of its step budget.
+    Trial division below _TRIAL_BOUND, then require_prime proves each
+    cofactor prime by Miller-Rabin, or Pollard-Brent rho splits it; a
+    cofactor at or above the Miller-Rabin bound goes straight to rho. Rather
+    than guess, it raises ValueError when rho runs out of its step budget.
     """
     if n < 1:
         raise ValueError("factor_integer expects a positive integer")
@@ -95,17 +95,18 @@ def factor_integer(n: int) -> dict[int, int]:
     rest = {n: 1} if n > 1 else {}  # cofactors still to split, with multiplicity
     while rest:
         m, e = rest.popitem()
-        # m has no factor below f, so f * f > m makes it prime
-        if f * f > m or m < _MR_BOUND and is_prime(m):
-            out[m] = out.get(m, 0) + e
-            continue
-        d, k = _rho_split(m), 0
-        while m % d == 0:  # every power of d, so p^k does not take k - 1 splits
-            m, k = m // d, k + 1
-        rest[d] = rest.get(d, 0) + k * e
-        if m > 1:
-            rest[m] = rest.get(m, 0) + e
-    return dict(sorted(out.items()))
+        try:  # a factor found before, or the one test of a new one; ValueError if m is composite
+            q = m if m in out else require_prime(m)
+        except ValueError:
+            d, k = _rho_split(m), 0
+            while m % d == 0:  # every power of d, so p^k does not take k - 1 splits
+                m, k = m // d, k + 1
+            rest[d] = rest.get(d, 0) + k * e
+            if m > 1:
+                rest[m] = rest.get(m, 0) + e
+        else:
+            out[q] = out.get(q, 0) + e
+    return dict(sorted((require_prime(q), e) for q, e in out.items()))
 
 
 def factor_rational(q: Fraction) -> dict[int, int]:
@@ -120,15 +121,11 @@ def factor_rational(q: Fraction) -> dict[int, int]:
 
 def gain_exponent(transform: Mat2, p: int) -> int:
     """Exponent g with gain = g * log(p) at prime p, i.e. g = -v_p(det K)."""
-    require_prime(p)
-    return _gain_exponent(transform, p)
-
-
-def _gain_exponent(transform: Mat2, p: int) -> int:
+    p = require_prime(p)
     det = transform.det()
     if det == 0:
         raise ValueError("transform must be nonsingular")
-    return -_valuation(det, p)
+    return -valuation(det, p)
 
 
 class AdelicGainReport(FrozenValue):
@@ -154,7 +151,7 @@ def adelic_report(transform: Mat2) -> AdelicGainReport:
     if det == 0:
         raise ValueError("transform must be nonsingular")
     real = factor_rational(det)
-    primes = {q: _gain_exponent(transform, q) for q in real}  # factoring proved each q prime
+    primes = {q: gain_exponent(transform, q) for q in real}
     product = math.prod(p_power(q, e) for q, e in real.items())
     sum_is_zero = product == abs(det) and all(primes[q] + e == 0 for q, e in real.items())
     return AdelicGainReport(det=det, prime_gains=primes, real_gain=real, sum_is_zero=sum_is_zero)

@@ -21,11 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import attrgetter
 
-from .adelic import _gain_exponent
+from .adelic import gain_exponent
 from .errors import InvariantViolation, NotAChannelError, NotAStateError
 from .ledger import LogLedger
 from .lattice import Lattice, Mat2, Vec2, sympl
-from .padic import PhaseQ, _norm, _valuation, additive_character, p_power, require_prime
+from .padic import PhaseQ, additive_character, p_power, padic_norm, valuation
 from .value import FrozenValue
 
 __all__ = [
@@ -73,7 +73,7 @@ class GaussianState:
 
     def rank_exponent(self) -> int:
         """The state is 1/rank times a projector of rank p**n; returns n."""
-        return -_valuation(self.lattice.measure, self.p)
+        return -valuation(self.lattice.measure, self.p)
 
     def is_pure(self) -> bool:
         """Purity is exactly self-duality of the lattice."""
@@ -81,8 +81,7 @@ class GaussianState:
 
     def unitarily_equivalent(self, other: "GaussianState") -> bool:
         """Equal measures iff the states are unitarily equivalent; shifts never matter."""
-        if self.p != other.p:
-            raise ValueError(f"prime mismatch: {self.p} vs {other.p}")
+        self.lattice._require_same_prime(other.lattice)
         return self.lattice.measure == other.lattice.measure
 
 
@@ -96,15 +95,10 @@ class ChannelValidity(FrozenValue):
 
 
 def channel_validity(transform: Mat2, noise: Lattice) -> ChannelValidity:
-    require_prime(noise.p)
-    return _validity(transform, noise)
-
-
-def _validity(transform: Mat2, noise: Lattice) -> ChannelValidity:
     det = transform.det()
     if det == 0:
         raise ValueError("channel transform must be nonsingular")
-    n1 = _norm(1 - det, noise.p)
+    n1 = padic_norm(1 - det, noise.p)
     product = n1 * noise.measure
     return ChannelValidity(n1, noise.measure, product, product <= 1)
 
@@ -117,7 +111,7 @@ class GaussianChannel:
     noise = property(attrgetter("_noise"), doc="The noise lattice (read-only).")
 
     def __init__(self, transform: Mat2, noise: Lattice):
-        check = _validity(transform, noise)
+        check = channel_validity(transform, noise)
         if not check.ok:
             raise NotAChannelError(
                 "admissibility fails: |1 - det K|_p * measure = "
@@ -153,7 +147,7 @@ class GaussianChannel:
 
     def entropy_gain(self) -> LogLedger:
         """Exact entropy gain: log of |det K|_p, i.e. exponent -v_p(det K)."""
-        return LogLedger.single(self.p, _gain_exponent(self._transform, self.p))
+        return LogLedger.single(self.p, gain_exponent(self._transform, self.p))
 
     def witness_threshold(self) -> int:
         """Smallest n0 >= 0 such that the shrinking-noise witness works for all n >= n0.
@@ -171,10 +165,10 @@ class GaussianChannel:
         """
         if self._threshold is None:
             p, basis = self.p, self._noise.canonical
-            s = _valuation(basis.det(), p)
-            g = _gain_exponent(self._transform, p)
+            s = valuation(basis.det(), p)
+            g = gain_exponent(self._transform, p)
             m = basis.inverse() @ self._inverse @ basis
-            containment = -min(_valuation(x, p) for x in (m.a, m.b, m.c, m.d) if x != 0)
+            containment = -min(valuation(x, p) for x in (m.a, m.b, m.c, m.d) if x != 0)
             self._threshold = max(0, containment, -(s // 2), -((s + g) // 2))
         return self._threshold
 
@@ -207,6 +201,6 @@ class GaussianChannel:
         exponent g.
         """
         norm = self._pulled_noise().measure / self._noise.measure
-        if norm != p_power(self.p, -_gain_exponent(self._transform, self.p)):
+        if norm != p_power(self.p, -gain_exponent(self._transform, self.p)):
             raise InvariantViolation("identity-output norm disagrees with entropy gain")
         return norm

@@ -58,13 +58,13 @@ def _emit(payload: dict, args) -> None:
 
 
 def _cmd_lattice(args) -> tuple[dict, int]:
-    require_prime(args.p)
+    p = require_prime(args.p)
     if args.action in ("intersect", "sum"):
-        one = _parse_lattice(args.a, args.p)
-        two = _parse_lattice(args.b, args.p)
+        one = _parse_lattice(args.a, p)
+        two = _parse_lattice(args.b, p)
         out = (one & two) if args.action == "intersect" else (one + two)
         return {"basis": str(out.canonical), "measure": str(out.measure)}, 0
-    lat = _parse_lattice(args.basis, args.p)
+    lat = _parse_lattice(args.basis, p)
     if args.action == "measure":
         return {"measure": str(lat.measure)}, 0
     if args.action == "dual":
@@ -75,17 +75,17 @@ def _cmd_lattice(args) -> tuple[dict, int]:
 
 
 def _cmd_channel(args) -> tuple[dict, int]:
-    require_prime(args.p)
+    p = require_prime(args.p)
     transform = Mat2.parse(args.transform)
     if args.action == "gain":
-        exponent = gain_exponent(transform, args.p)
-        ledger = LogLedger.single(args.p, exponent)
+        exponent = gain_exponent(transform, p)
+        ledger = LogLedger.single(p, exponent)
         return {
             "exponent": exponent,
-            "prime": args.p,
+            "prime": p,
             f"value_base_{args.log_base}": ledger.render(args.log_base),
         }, 0
-    noise = _parse_lattice(args.noise, args.p)
+    noise = _parse_lattice(args.noise, p)
     if args.action == "validate":
         check = channel_validity(transform, noise)
         return {
@@ -97,7 +97,7 @@ def _cmd_channel(args) -> tuple[dict, int]:
     channel = GaussianChannel(transform, noise)
     if args.action == "threshold":
         return {"threshold": channel.witness_threshold()}, 0
-    state_lat = _parse_lattice(args.state, args.p)
+    state_lat = _parse_lattice(args.state, p)
     shift = Vec2.parse(args.shift) if args.shift else Vec2.zero()
     out = channel.apply(GaussianState(state_lat, shift))
     return {

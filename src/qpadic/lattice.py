@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .padic import _fractional_part, _norm, _valuation, as_rational, p_power, require_prime, valuation
+from .padic import Prime, as_rational, fractional_part, p_power, padic_norm, require_prime, valuation
 from .value import FrozenValue
 
 __all__ = [
@@ -164,7 +164,7 @@ def _canonical_basis(cols: list[Vec2], p: int) -> Mat2:
       4. reduce the corner entry modulo p**b * Z_p to its canonical
          residue p**b * {y / p**b}_p.
     """
-    first_row = [(_valuation(col.x, p), i) for i, col in enumerate(cols) if col.x != 0]
+    first_row = [(valuation(col.x, p), i) for i, col in enumerate(cols) if col.x != 0]
     if not first_row:
         raise ValueError("generators do not span the plane")
     _, i0 = min(first_row)
@@ -176,15 +176,15 @@ def _canonical_basis(cols: list[Vec2], p: int) -> Mat2:
         if col.x != 0:
             col = col - u.scaled(col.x / u.x)
         if col.y != 0:
-            second_row.append((_valuation(col.y, p), i, col))
+            second_row.append((valuation(col.y, p), i, col))
     if not second_row:
         raise ValueError("generators do not span the plane")
     _, _, v = min(second_row, key=lambda item: item[:2])
 
-    a = _valuation(u.x, p)
+    a = valuation(u.x, p)
     u = u.scaled(p_power(p, a) / u.x)
-    pb = p_power(p, _valuation(v.y, p))
-    corner = pb * _fractional_part(u.y / pb, p)
+    pb = p_power(p, valuation(v.y, p))
+    corner = pb * fractional_part(u.y / pb, p)
     return Mat2._of(p_power(p, a), Fraction(0), corner, pb)
 
 
@@ -200,17 +200,16 @@ class Lattice:
     __slots__ = ("p", "basis", "canonical", "measure")
 
     def __init__(self, basis: Mat2, p: int):
-        require_prime(p)
+        self.p = require_prime(p)
         if basis.det() == 0:
             raise ValueError("lattice basis must be nonsingular")
-        self.p = p
         self.basis = basis
-        self.canonical = _canonical_basis(list(basis.columns()), p)
+        self.canonical = _canonical_basis(list(basis.columns()), self.p)
         self.measure = 1 / self.canonical.det()  # |det|_p, as the pivots are powers of p
 
     @classmethod
-    def _from_canonical(cls, canonical: Mat2, p: int) -> "Lattice":
-        """Wrap a derived basis that is already canonical: no primality test, no reduction."""
+    def _from_canonical(cls, canonical: Mat2, p: Prime) -> "Lattice":
+        """Wrap a derived basis that is already canonical at the Prime p: no reduction."""
         lat = object.__new__(cls)
         lat.p, lat.basis, lat.canonical, lat.measure = p, canonical, canonical, 1 / canonical.det()
         return lat
@@ -264,8 +263,8 @@ class Lattice:
         self._require_same_prime(other)
         two, one = sorted((self.canonical, other.canonical), key=lambda k: k.d)  # b1 >= b2
         p, sigma = self.p, one.c / one.a
-        pa = max(one.a, two.a, two.d * _norm(sigma - two.c / two.a, p))
-        corner = one.d * _fractional_part(sigma * pa / one.d, p)
+        pa = max(one.a, two.a, two.d * padic_norm(sigma - two.c / two.a, p))
+        corner = one.d * fractional_part(sigma * pa / one.d, p)
         return Lattice._from_canonical(Mat2._of(pa, Fraction(0), corner, one.d), p)
 
     def scaled(self, n: int) -> "Lattice":
@@ -295,7 +294,7 @@ class Lattice:
         unimodular in the determinant-one sense.
         """
         u, v = self.canonical.columns()
-        n = -_valuation(self.measure, self.p)
+        n = -valuation(self.measure, self.p)
         return Mat2.from_columns(u.scaled(p_power(self.p, -n)), v), n
 
 

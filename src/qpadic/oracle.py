@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NotAStateError
 from .lattice import Lattice, Mat2, standard_lattice
-from .padic import _valuation, is_prime, p_power, require_prime
+from .padic import p_power, require_prime, valuation
 
 __all__ = [
     "DIMENSION_CAP",
@@ -70,8 +70,13 @@ class WeylSystem:
     N: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p!r}")
+        try:
+            p = require_prime(self.p)
+            if p == 2:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"p must be an odd prime, got {self.p!r}") from None
+        object.__setattr__(self, "p", p)
         if not isinstance(self.N, int) or self.N <= 0 or self.N % 2:
             raise ValueError(f"N must be a positive even integer, got {self.N!r}")
         # 2**N > DIMENSION_CAP already rules out a huge N before p**N is taken
@@ -275,12 +280,7 @@ def entropy_nats(rho: np.ndarray) -> float:
 
 def exponent_lattice(p: int, e1: int, e2: int) -> Lattice:
     """The exact lattice diag(p^e1, p^e2) * L0 matching a product subgroup."""
-    require_prime(p)
-    return _exponent_lattice(p, e1, e2)
-
-
-def _exponent_lattice(p: int, e1: int, e2: int) -> Lattice:
-    # diag(p^e1, p^e2) is already canonical; p is a prime the caller has checked
+    p = require_prime(p)  # diag(p^e1, p^e2) is already canonical
     return Lattice._from_canonical(Mat2.diagonal(p_power(p, e1), p_power(p, e2)), p)
 
 
@@ -293,8 +293,8 @@ def _state_exponents(system: WeylSystem) -> list[tuple[int, int]]:
 def _fits_window(system: WeylSystem, lat: Lattice) -> bool:
     m = system.window
     k = lat.canonical
-    pivots_fit = all(-m <= _valuation(pivot, lat.p) <= m for pivot in (k.a, k.d))
-    return pivots_fit and (k.c == 0 or _valuation(k.c, lat.p) >= -m)
+    pivots_fit = all(-m <= valuation(pivot, lat.p) <= m for pivot in (k.a, k.d))
+    return pivots_fit and (k.c == 0 or valuation(k.c, lat.p) >= -m)
 
 
 @dataclass
@@ -368,7 +368,7 @@ def channel_scan(
     if transform.det() == 0:
         raise ValueError("transform must be nonsingular")
     a0, b0 = noise_exponents
-    noise_lat = _exponent_lattice(p, a0, b0)
+    noise_lat = exponent_lattice(p, a0, b0)
     if not _fits_window(system, noise_lat):
         raise ValueError(f"noise exponents {noise_exponents} leave the window")
     inverse = transform.inverse()
@@ -390,7 +390,7 @@ def channel_scan(
             if explicit:
                 raise ValueError(f"input exponents {(g, h)} are not an admissible state")
             continue
-        input_lat = _exponent_lattice(p, g, h)
+        input_lat = exponent_lattice(p, g, h)
         pulled = input_lat.transformed(inverse)
         out_lat = pulled & noise_lat
         if not (_fits_window(system, pulled) and _fits_window(system, out_lat)):
@@ -407,7 +407,7 @@ def channel_scan(
             spectrum = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
             solved[key] = spectrum, float(spectrum.min()), float(np.real(np.trace(rho)))
         spectrum, min_eig, trace = solved[key]
-        n_out = int(-_valuation(out_lat.measure, p))
+        n_out = int(-valuation(out_lat.measure, p))
         expected_valid = out_lat.measure <= 1
         psd = min_eig >= -PSD_TOLERANCE
 

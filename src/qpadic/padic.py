@@ -4,6 +4,11 @@ Every scalar in this package is a `fractions.Fraction`, so the p-adic
 valuation, the norm |x|_p = p**(-v_p(x)), the p-adic fractional part and
 the additive character built from it are all computed exactly. Nothing in
 this module touches floating point.
+
+A prime is tested once, where it enters: `require_prime` runs `is_prime` to
+turn an int into a `Prime`, and hands a `Prime` back untested. Every function
+here that takes a prime passes it through `require_prime`, and lattices,
+channels and the oracle carry the `Prime` on.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .value import FrozenValue
 __all__ = [
     "INFINITY",
     "PhaseQ",
+    "Prime",
     "additive_character",
     "as_rational",
     "fractional_part",
@@ -96,9 +102,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def require_prime(p: int) -> None:
+class Prime(int):
+    """An int that has passed is_prime. Prime(p) is require_prime(p)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int) -> "Prime":
+        return require_prime(p)
+
+
+def require_prime(p: int) -> Prime:
+    """p as a Prime: a Prime is returned as it is, any other value is tested once."""
+    if isinstance(p, Prime):
+        return p
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise ValueError(f"{p!r} is not a prime")
+    return int.__new__(Prime, p)
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -113,12 +132,8 @@ def _int_valuation(n: int, p: int) -> int:
 
 def valuation(x: Fraction | int | str, p: int) -> int | float:
     """p-adic valuation of a rational. Zero maps to INFINITY."""
-    require_prime(p)
-    return _valuation(as_rational(x), p)
-
-
-def _valuation(q: Fraction, p: int) -> int | float:
-    # this and the other private helpers take a prime the caller has checked
+    p = require_prime(p)
+    q = as_rational(x)
     if q == 0:
         return INFINITY
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
@@ -131,12 +146,8 @@ def p_power(p: int, e: int) -> Fraction:
 
 def padic_norm(x: Fraction | int | str, p: int) -> Fraction:
     """|x|_p = p**(-v_p(x)) as an exact Fraction. |0|_p = 0."""
-    require_prime(p)
-    return _norm(as_rational(x), p)
-
-
-def _norm(q: Fraction, p: int) -> Fraction:
-    return Fraction(0) if q == 0 else p_power(p, -_valuation(q, p))
+    v = valuation(x, p)
+    return Fraction(0) if v == INFINITY else p_power(p, -v)
 
 
 def fractional_part(x: Fraction | int | str, p: int) -> Fraction:
@@ -147,12 +158,8 @@ def fractional_part(x: Fraction | int | str, p: int) -> Fraction:
     x = a / (p**k * m) with m coprime to p, the p-coprime denominator
     part m is inverted modulo p**k, giving r = (a * m^-1 mod p**k) / p**k.
     """
-    require_prime(p)
-    return _fractional_part(as_rational(x), p)
-
-
-def _fractional_part(q: Fraction, p: int) -> Fraction:
-    v = _valuation(q, p)
+    q = as_rational(x)
+    v = valuation(q, p)
     if v >= 0:
         return Fraction(0)
     pk = p**-v

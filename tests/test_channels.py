@@ -337,13 +337,13 @@ class TestDerivedOnce:
     def test_threshold_computed_once(self, monkeypatch):
         chan = GaussianChannel(Mat2.diagonal(9, 1), standard_lattice(3))
         calls = []
-        gain = qpadic.channels._gain_exponent
+        gain = qpadic.channels.gain_exponent
 
         def counting(k, p):
             calls.append(p)
             return gain(k, p)
 
-        monkeypatch.setattr(qpadic.channels, "_gain_exponent", counting)
+        monkeypatch.setattr(qpadic.channels, "gain_exponent", counting)
         assert [chan.witness_threshold() for _ in range(3)] == [2, 2, 2]
         chan.entropy_gain_witness(2)
         chan.entropy_gain_witness(3)

@@ -12,6 +12,8 @@ from fractions import Fraction
 import pytest
 
 import qpadic.lattice
+import qpadic.padic
+from qpadic.channels import GaussianChannel, GaussianState
 from qpadic.lattice import (
     STANDARD_J,
     Lattice,
@@ -21,7 +23,7 @@ from qpadic.lattice import (
     sympl,
     symplectic_transport,
 )
-from qpadic.padic import padic_norm, valuation
+from qpadic.padic import Prime, padic_norm, valuation
 
 from conftest import (
     PRIMES,
@@ -464,3 +466,31 @@ class TestReductionCount:
         monkeypatch.setattr(qpadic.lattice, "_canonical_basis", counting)
         ops[op]()
         assert len(calls) == expected
+
+
+class TestPrimeCarried:
+    """A lattice holds the Prime it was built at, so no operation on it tests p again."""
+
+    @pytest.mark.parametrize("p", [3, 1000003])
+    def test_operations_make_no_prime_test(self, monkeypatch, p):
+        a = Lattice(Mat2.parse(f"{p},1;1/{p},2"), p)
+        b = Lattice(Mat2.parse(f"1/{p * p},0;5,{p**3}"), p)
+        state = GaussianState(a.scaled(1), Vec2(1, Fraction(1, p)))
+        channel = GaussianChannel(Mat2.diagonal(p, 1), standard_lattice(p))
+        assert type(a.p) is Prime and type(state.p) is Prime and type(channel.p) is Prime
+        calls = []
+        monkeypatch.setattr(qpadic.padic, "is_prime", lambda n: calls.append(n))
+        lattices = [
+            a.dual(),
+            a & b,
+            a + b,
+            a.scaled(-2),
+            a.transformed(Mat2.parse("2,1;1,3")),
+            channel.apply(state).lattice,
+        ]
+        assert a.contains(Vec2(p, 1)) and not a.contains(Vec2(Fraction(1, p), 0))
+        assert a.issubset(a + b) and (a & b).issubset(b)
+        assert state.char(Vec2(p, p)) is not None and state.char(Vec2(1, 0)) is None
+        assert channel.entropy_gain_witness(channel.witness_threshold()) == channel.entropy_gain()
+        assert calls == []
+        assert all(type(lat.p) is Prime for lat in lattices)

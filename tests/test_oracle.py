@@ -11,9 +11,11 @@ import pytest
 
 from fractions import Fraction
 
+import qpadic.padic
 from qpadic.channels import GaussianState
 from qpadic.errors import NotAStateError
 from qpadic.lattice import Lattice, Mat2, Vec2, standard_lattice
+from qpadic.padic import Prime
 from qpadic.oracle import (
     WeylSystem,
     _indicator,
@@ -64,6 +66,20 @@ class TestSystemParameters:
             WeylSystem(4, 2)
         with pytest.raises(ValueError):
             WeylSystem(7, 4)  # 2401 over the dimension cap
+
+    @pytest.mark.parametrize("p", [3.0, "3", True, 2, 9])
+    def test_prime_must_be_an_odd_int_prime(self, p):
+        # a float 3.0 used to pass and fail later in run_battery with a TypeError
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            WeylSystem(p, 2)
+
+    def test_holds_a_prime_and_scans_without_testing_it(self, monkeypatch):
+        system = WeylSystem(3, 2)
+        assert type(system.p) is Prime and system == SYS and repr(system) == "WeylSystem(p=3, N=2)"
+        calls = []
+        monkeypatch.setattr(qpadic.padic, "is_prime", lambda n: calls.append(n))
+        assert all(case.agree for case in channel_scan(system, Mat2.diagonal(3, 1), (0, 0)))
+        assert type(exponent_lattice(system.p, 1, 0).p) is Prime and calls == []
 
     def test_accepted_sizes(self):
         for p, n in ((3, 2), (5, 2), (7, 2), (3, 4)):

@@ -1,16 +1,25 @@
 """Exact p-adic scalar arithmetic: valuation, norm, fractional part, characters."""
 
 import cmath
+import json
 import math
+import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qpadic.padic
+from qpadic import cli
+from qpadic.adelic import adelic_report
+from qpadic.lattice import Mat2
+from qpadic.ledger import LogLedger
 from qpadic.padic import (
     INFINITY,
     PhaseQ,
+    Prime,
     additive_character,
     as_rational,
     fractional_part,
@@ -244,3 +253,82 @@ class TestParsingAndPrimes:
         for bad in (1, 0, -3, 4, 9, True):
             with pytest.raises(ValueError):
                 require_prime(bad)
+
+
+@pytest.fixture
+def prime_tests(monkeypatch):
+    """Every argument is_prime is called with, through any caller."""
+    calls = []
+    test = qpadic.padic.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return test(n)
+
+    monkeypatch.setattr(qpadic.padic, "is_prime", counting)
+    return calls
+
+
+class TestPrime:
+    def test_only_primes_are_made(self):
+        for bad in (9, True, 3.0, "3", 1, -3):
+            with pytest.raises(ValueError, match="not a prime"):
+                Prime(bad)
+        q = Prime(3)
+        assert q == 3 and type(q) is Prime
+        assert Prime(q) is q and require_prime(q) is q
+
+    def test_a_prime_is_tested_once(self, prime_tests):
+        q = require_prime(10**18 + 3)
+        assert valuation(Fraction(7, 10**18 + 3), q) == -1
+        assert padic_norm(10**18 + 3, q) == Fraction(1, 10**18 + 3)
+        assert fractional_part(Fraction(1, 10**18 + 3), q) == Fraction(1, 10**18 + 3)
+        assert additive_character(5, q).is_one
+        assert prime_tests == [10**18 + 3]
+
+    def test_pickles_and_prints_as_an_int(self):
+        q = Prime(3)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(q, protocol))
+            assert back == 3 and type(back) is Prime
+        assert json.dumps({"prime": q}) == '{"prime": 3}'
+        assert (repr(q), str(q), f"{q}") == ("3", "3", "3")
+        assert LogLedger.single(q, -2).render("2") == "-2*log2(3)"
+        assert LogLedger.single(q, 1) == LogLedger.single(3, 1)
+        assert 3 * q == 9 and type(3 * q) is int
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lattice", "intersect", "--p", "3", "--a", "3,0;0,1", "--b", "1,0;1/3,9"],
+            ["channel", "apply", "--p", "3", "--K", "3,0;0,1", "--L", "1,0;0,1",
+             "--state", "1/3,0;0,3", "--shift", "1,2"],
+            ["channel", "gain", "--p", "1000000000000000003", "--K", "3,0;0,1"],
+        ],
+        ids=["lattice-intersect", "channel-apply", "channel-gain"],
+    )
+    def test_cli_tests_its_prime_once(self, argv, prime_tests, capsys):
+        assert cli.main(argv) == 0
+        assert prime_tests == [int(argv[3])]
+        capsys.readouterr()
+
+    def test_cli_prints_the_prime_as_an_int(self, capsys):
+        assert cli.main(["channel", "gain", "--p", "3", "--K", "3,0;0,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["prime"] == 3
+        assert cli.main(["channel", "gain", "--p", "3", "--K", "3,0;0,1", "--format", "text"]) == 0
+        assert "prime: 3\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "det",
+        [
+            Fraction(2**3 * 3 * 997 * 1009 * (10**9 + 7), 5 * 7**2),
+            # rho splits 1009^2 * 1049 into 1009 * 1049 and 1009, so 1009 comes up twice
+            Fraction(1009**2 * 1049, 2),
+        ],
+    )
+    def test_adelic_report_tests_each_factor_at_most_once(self, det, prime_tests):
+        report = adelic_report(Mat2.diagonal(det, 1))
+        assert report.sum_is_zero
+        assert all(type(q) is Prime for q in [*report.real_gain, *report.prime_gains])
+        tested = Counter(n for n in prime_tests if is_prime(n))
+        assert set(tested) == set(report.real_gain) and max(tested.values()) == 1
