@@ -42,7 +42,7 @@ class GaussianState:
     __slots__ = ("lattice", "shift")
 
     def __init__(self, lattice: Lattice, shift: Vec2 | None = None):
-        if lattice.measure > 1:
+        if lattice.a + lattice.b < 0:
             raise NotAStateError(
                 f"no Gaussian state for measure {lattice.measure} > 1 (lattice {lattice.canonical})"
             )
@@ -73,7 +73,7 @@ class GaussianState:
 
     def rank_exponent(self) -> int:
         """The state is 1/rank times a projector of rank p**n; returns n."""
-        return -valuation(self.lattice.measure, self.p)
+        return self.lattice.a + self.lattice.b
 
     def is_pure(self) -> bool:
         """Purity is exactly self-duality of the lattice."""
@@ -82,7 +82,7 @@ class GaussianState:
     def unitarily_equivalent(self, other: "GaussianState") -> bool:
         """Equal measures iff the states are unitarily equivalent; shifts never matter."""
         self.lattice._require_same_prime(other.lattice)
-        return self.lattice.measure == other.lattice.measure
+        return self.rank_exponent() == other.rank_exponent()
 
 
 class ChannelValidity(FrozenValue):
@@ -139,7 +139,7 @@ class GaussianChannel:
         if state.p != self.p:
             raise ValueError(f"prime mismatch: state at {state.p}, channel at {self.p}")
         out = state.lattice.transformed(self._inverse) & self._noise
-        if out.measure > 1:
+        if out.a + out.b < 0:
             raise InvariantViolation(
                 f"admissible channel produced output measure {out.measure} > 1"
             )
@@ -155,7 +155,7 @@ class GaussianChannel:
         Four conditions, each monotone in n, must hold for L_n = p**n * L:
         L_n and K^-1 L_n are contained in L and both have measure <= 1
         (so the witness input and output are honest states). With B the
-        canonical basis of L, s = v_p(det B) and g = -v_p(det K), each is
+        canonical basis of L, s = v_p(det B) = a + b and g = -v_p(det K), each is
         a lower bound on n read off exact valuations:
 
           p**n L in L                iff  n >= 0;
@@ -165,7 +165,7 @@ class GaussianChannel:
         """
         if self._threshold is None:
             p, basis = self.p, self._noise.canonical
-            s = valuation(basis.det(), p)
+            s = self._noise.a + self._noise.b
             g = gain_exponent(self._transform, p)
             m = basis.inverse() @ self._inverse @ basis
             containment = -min(valuation(x, p) for x in (m.a, m.b, m.c, m.d) if x != 0)

@@ -4,19 +4,24 @@ A lattice is the Z_p-span of the columns of a nonsingular rational 2x2
 matrix. Only p-adic valuations of the entries matter, so exact rational
 arithmetic captures everything.
 
-Every lattice is held in a unique lower-triangular canonical basis
+Every lattice has a unique lower-triangular canonical basis, its Hermite
+normal form over Z_p,
 
     [[p**a, 0   ],
      [c,    p**b]]
 
-whose pivots are exact powers of p (column scalings by p-adic units are
-normalized away) and whose corner entry c is the canonical representative
-of its residue class modulo p**b * Z_p, namely c = p**b * {c0 / p**b}_p.
-The representative can have negative valuation when the class genuinely
-does (e.g. basis [[1,0],[1/2,1]] at p = 2 reduces to itself). Two
-lattices are equal iff their canonical bases match entrywise. A user basis
-and the image of a transform are reduced to it; duals, scalings, sums and
-intersections are built in it in closed form, with no reduction.
+and a lattice stores the two integer pivot exponents a, b and the corner c,
+the canonical representative of its residue class modulo p**b * Z_p. The
+corner can have negative valuation when the class genuinely does (e.g.
+basis [[1,0],[1/2,1]] at p = 2 reduces to itself). Two lattices are equal
+iff (a, b, c) match, and the measure is p**-(a + b).
+
+Only a user basis and the image of a transform are reduced, in closed
+form: pivot on the column whose first entry has least valuation a, then
+b = v_p(det) - a and c = p**b * {y * p**a / (x * p**b)}_p for the pivot
+column (x, y). Duals, scalings, sums and intersections are built from
+(a, b, c) with no reduction. The generic n-column reduction lives only in
+the tests, as the independent route these closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .padic import Prime, as_rational, fractional_part, p_power, padic_norm, require_prime, valuation
+from .padic import Prime, as_rational, fractional_part, p_power, require_prime, valuation
 from .value import FrozenValue
 
 __all__ = [
@@ -148,80 +153,60 @@ def sympl(u: Vec2, v: Vec2) -> Fraction:
 STANDARD_J = Mat2(0, 1, -1, 0)
 
 
-def _canonical_basis(cols: list[Vec2], p: int) -> Mat2:
-    """Column-reduce generators over Z_p to the canonical triangular basis.
+def _canonical_basis(m: Mat2, p: Prime, s: int) -> tuple[int, int, Fraction]:
+    """Exponents a, b and corner c of the canonical basis of a nonsingular m with v_p(det m) = s.
 
-    Column operations multiply the basis on the right by invertible
-    p-adically integral matrices, so the span is unchanged at every step:
-
-      1. pivot on a column whose first entry has minimal valuation and
-         clear the first row of every other column (the ratios are p-adic
-         integers by pivot minimality, and cancellation is exact);
-      2. among the remaining columns, now of the form (0, y), pivot on a
-         minimal-valuation y; any others cancel to zero exactly;
-      3. scale both pivot columns by p-adic units to make the diagonal
-         entries exact powers of p;
-      4. reduce the corner entry modulo p**b * Z_p to its canonical
-         residue p**b * {y / p**b}_p.
+    Pivot on the column (x, y) whose first entry has least valuation a: the
+    other first entry is then a Z_p-multiple of x, and clearing it leaves a
+    second entry of valuation s - a. So b = s - a, and scaling the pivot by
+    the unit p**a / x gives the corner c = p**b * {y * p**a / (x * p**b)}_p.
     """
-    first_row = [(valuation(col.x, p), i) for i, col in enumerate(cols) if col.x != 0]
-    if not first_row:
-        raise ValueError("generators do not span the plane")
-    _, i0 = min(first_row)
-    u = cols[i0]
-    second_row: list[tuple[int | float, int, Vec2]] = []
-    for i, col in enumerate(cols):
-        if i == i0:
-            continue
-        if col.x != 0:
-            col = col - u.scaled(col.x / u.x)
-        if col.y != 0:
-            second_row.append((valuation(col.y, p), i, col))
-    if not second_row:
-        raise ValueError("generators do not span the plane")
-    _, _, v = min(second_row, key=lambda item: item[:2])
-
-    a = valuation(u.x, p)
-    u = u.scaled(p_power(p, a) / u.x)
-    pb = p_power(p, valuation(v.y, p))
-    corner = pb * fractional_part(u.y / pb, p)
-    return Mat2._of(p_power(p, a), Fraction(0), corner, pb)
+    va, vb = valuation(m.a, p), valuation(m.b, p)
+    x, y, a = (m.a, m.c, va) if va <= vb else (m.b, m.d, vb)
+    b = s - a
+    return a, b, p_power(p, b) * fractional_part(y * p_power(p, a - b) / x, p)
 
 
 class Lattice:
     """Z_p-span of the columns of a nonsingular rational basis matrix.
 
-    The canonical basis is computed eagerly, so equality, hashing and the
-    measure are O(1) afterwards. Haar measure is normalized so that
-    self-dual lattices have measure 1, which makes measure(L) = |det B|_p
-    for any basis B of L.
+    The exponents a, b and the corner of the canonical basis are computed
+    eagerly, so equality, hashing and the measure are O(1) afterwards. Haar
+    measure is normalized so that self-dual lattices have measure 1, which
+    makes measure(L) = |det B|_p = p**-(a + b) for any basis B of L.
     """
 
-    __slots__ = ("p", "basis", "canonical", "measure")
+    __slots__ = ("p", "a", "b", "corner", "basis", "canonical")
 
     def __init__(self, basis: Mat2, p: int):
-        self.p = require_prime(p)
-        if basis.det() == 0:
+        p = require_prime(p)
+        det = basis.det()
+        if det == 0:
             raise ValueError("lattice basis must be nonsingular")
-        self.basis = basis
-        self.canonical = _canonical_basis(list(basis.columns()), self.p)
-        self.measure = 1 / self.canonical.det()  # |det|_p, as the pivots are powers of p
+        a, b, corner = _canonical_basis(basis, p, valuation(det, p))
+        self.p, self.a, self.b, self.corner, self.basis = p, a, b, corner, basis
+        self.canonical = Mat2._of(p_power(p, a), Fraction(0), corner, p_power(p, b))
 
     @classmethod
-    def _from_canonical(cls, canonical: Mat2, p: Prime) -> "Lattice":
-        """Wrap a derived basis that is already canonical at the Prime p: no reduction."""
+    def _from_canonical(cls, a: int, b: int, corner: Fraction, p: Prime) -> "Lattice":
+        """Wrap [[p**a, 0], [corner, p**b]] at the Prime p; corner is already reduced."""
         lat = object.__new__(cls)
-        lat.p, lat.basis, lat.canonical, lat.measure = p, canonical, canonical, 1 / canonical.det()
+        lat.p, lat.a, lat.b, lat.corner = p, a, b, corner
+        lat.basis = lat.canonical = Mat2._of(p_power(p, a), Fraction(0), corner, p_power(p, b))
         return lat
+
+    @property
+    def measure(self) -> Fraction:
+        """Haar measure |det B|_p = p**-(a + b)."""
+        return p_power(self.p, -self.a - self.b)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lattice):
             return NotImplemented
-        return self.p == other.p and self.canonical == other.canonical
+        return (self.p, self.a, self.b, self.corner) == (other.p, other.a, other.b, other.corner)
 
     def __hash__(self) -> int:
-        k = self.canonical
-        return hash((self.p, k.a, k.c, k.d))
+        return hash((self.p, self.a, self.b, self.corner))
 
     def __repr__(self) -> str:
         return f"Lattice(p={self.p}, canonical='{self.canonical}')"
@@ -232,13 +217,12 @@ class Lattice:
 
     def dual(self) -> "Lattice":
         """Symplectic dual: all u with sympl(u, v) in Z_p for every v in L."""
-        k = self.canonical  # J * k**-T reduced; the residue c/d is unchanged
-        dual = Mat2._of(1 / k.d, Fraction(0), k.c / (k.a * k.d), 1 / k.a)
-        return Lattice._from_canonical(dual, self.p)
+        # J * k**-T reduced: exponents -b, -a, and the residue corner / p**b is unchanged
+        return Lattice._from_canonical(-self.b, -self.a, self.corner * self.measure, self.p)
 
     def is_self_dual(self) -> bool:
         """True iff L equals its dual; equivalently measure(L) = 1."""
-        return self.measure == 1
+        return self.a + self.b == 0
 
     def contains(self, v: Vec2) -> bool:
         """Membership test: solves B x = v and checks x has integral entries."""
@@ -255,28 +239,31 @@ class Lattice:
         return (self.dual() & other.dual()).dual()
 
     def __and__(self, other: "Lattice") -> "Lattice":
-        """Intersection, read off the canonical bases [[p**a, 0], [c, p**b]].
+        """Intersection, read off the exponents and corners.
 
         With sigma = c / p**a, L = {(x, y) : v(x) >= a, v(y - sigma * x) >= b}, so for
         b1 >= b2, L1 & L2 has b = b1 and a = max(a1, a2, b2 - v(sigma1 - sigma2)).
         """
         self._require_same_prime(other)
-        two, one = sorted((self.canonical, other.canonical), key=lambda k: k.d)  # b1 >= b2
-        p, sigma = self.p, one.c / one.a
-        pa = max(one.a, two.a, two.d * padic_norm(sigma - two.c / two.a, p))
-        corner = one.d * fractional_part(sigma * pa / one.d, p)
-        return Lattice._from_canonical(Mat2._of(pa, Fraction(0), corner, one.d), p)
+        one, two = (self, other) if self.b >= other.b else (other, self)
+        p, sigma = self.p, one.corner / one.canonical.a
+        a = max(one.a, two.a, two.b - valuation(sigma - two.corner / two.canonical.a, p))
+        corner = one.canonical.d * fractional_part(sigma * p_power(p, a - one.b), p)
+        return Lattice._from_canonical(a, one.b, corner, p)
 
     def scaled(self, n: int) -> "Lattice":
         """p**n * L. Scaling multiplies the (2-dimensional) measure by p**(-2n)."""
-        return Lattice._from_canonical(self.canonical.scaled(p_power(self.p, n)), self.p)
+        p = self.p
+        return Lattice._from_canonical(self.a + n, self.b + n, self.corner * p_power(p, n), p)
 
     def transformed(self, g: Mat2) -> "Lattice":
-        """Image g * L under a nonsingular rational matrix."""
-        if g.det() == 0:
+        """Image g * L under a nonsingular rational matrix: v_p(det(g B)) = v_p(det g) + a + b."""
+        det = g.det()
+        if det == 0:
             raise ValueError("transform must be nonsingular")
-        cols = list((g @ self.canonical).columns())
-        return Lattice._from_canonical(_canonical_basis(cols, self.p), self.p)
+        p = self.p
+        s = valuation(det, p) + self.a + self.b
+        return Lattice._from_canonical(*_canonical_basis(g @ self.canonical, p, s), p)
 
     def symplectic_basis(self) -> tuple[Vec2, Vec2]:
         """Generators u, v of a self-dual lattice with sympl(u, v) = 1 exactly."""
@@ -288,13 +275,13 @@ class Lattice:
     def symplectic_diagonalization(self) -> tuple[Mat2, int]:
         """Write L = S * diag(p**n, 1) * L0 with det(S) = 1 exactly.
 
-        The exponent pair of the normal form is fixed as (n, 0), where
-        p**(-n) = measure(L). The canonical basis already has pairing
-        sympl(u, v) = p**n on the nose, which makes S = [u / p**n | v]
+        The exponent pair of the normal form is fixed as (n, 0) with
+        n = a + b, so p**(-n) = measure(L). The canonical basis already has
+        pairing sympl(u, v) = p**n on the nose, which makes S = [u / p**n | v]
         unimodular in the determinant-one sense.
         """
         u, v = self.canonical.columns()
-        n = -valuation(self.measure, self.p)
+        n = self.a + self.b
         return Mat2.from_columns(u.scaled(p_power(self.p, -n)), v), n
 
 
@@ -310,7 +297,7 @@ def symplectic_transport(src: Lattice, dst: Lattice) -> Mat2:
     orbits of the rational symplectic group). Raises ValueError otherwise.
     """
     src._require_same_prime(dst)
-    if src.measure != dst.measure:
+    if src.a + src.b != dst.a + dst.b:
         raise ValueError("transport requires equal measures")
     s1, _ = src.symplectic_diagonalization()
     s2, _ = dst.symplectic_diagonalization()

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import NotAStateError
 from .lattice import Lattice, Mat2, standard_lattice
-from .padic import p_power, require_prime, valuation
+from .padic import require_prime, valuation
 
 __all__ = [
     "DIMENSION_CAP",
@@ -280,8 +281,7 @@ def entropy_nats(rho: np.ndarray) -> float:
 
 def exponent_lattice(p: int, e1: int, e2: int) -> Lattice:
     """The exact lattice diag(p^e1, p^e2) * L0 matching a product subgroup."""
-    p = require_prime(p)  # diag(p^e1, p^e2) is already canonical
-    return Lattice._from_canonical(Mat2.diagonal(p_power(p, e1), p_power(p, e2)), p)
+    return Lattice._from_canonical(e1, e2, Fraction(0), require_prime(p))  # already canonical
 
 
 def _state_exponents(system: WeylSystem) -> list[tuple[int, int]]:
@@ -292,9 +292,8 @@ def _state_exponents(system: WeylSystem) -> list[tuple[int, int]]:
 
 def _fits_window(system: WeylSystem, lat: Lattice) -> bool:
     m = system.window
-    k = lat.canonical
-    pivots_fit = all(-m <= valuation(pivot, lat.p) <= m for pivot in (k.a, k.d))
-    return pivots_fit and (k.c == 0 or valuation(k.c, lat.p) >= -m)
+    pivots_fit = -m <= lat.a <= m and -m <= lat.b <= m
+    return pivots_fit and (lat.corner == 0 or valuation(lat.corner, lat.p) >= -m)
 
 
 @dataclass
@@ -407,8 +406,8 @@ def channel_scan(
             spectrum = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
             solved[key] = spectrum, float(spectrum.min()), float(np.real(np.trace(rho)))
         spectrum, min_eig, trace = solved[key]
-        n_out = int(-valuation(out_lat.measure, p))
-        expected_valid = out_lat.measure <= 1
+        n_out = out_lat.a + out_lat.b
+        expected_valid = n_out >= 0
         psd = min_eig >= -PSD_TOLERANCE
 
         entropy: float | None = None

@@ -87,6 +87,8 @@ def is_prime(n: int) -> bool:
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
+    if n < 43 * 43:  # no prime factor up to 41, the largest base, proves n prime
+        return True
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in _MR_BASES:

@@ -321,9 +321,9 @@ class TestDerivedOnce:
         calls = []
         reduce = qpadic.lattice._canonical_basis
 
-        def counting(cols, p):
+        def counting(m, p, s):
             calls.append(p)
-            return reduce(cols, p)
+            return reduce(m, p, s)
 
         monkeypatch.setattr(qpadic.lattice, "_canonical_basis", counting)
         for chan in channels:

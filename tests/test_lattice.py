@@ -23,7 +23,7 @@ from qpadic.lattice import (
     sympl,
     symplectic_transport,
 )
-from qpadic.padic import Prime, padic_norm, valuation
+from qpadic.padic import Prime, fractional_part, p_power, padic_norm, valuation
 
 from conftest import (
     PRIMES,
@@ -40,23 +40,62 @@ def mutually_included(a: Lattice, b: Lattice) -> bool:
     return a.issubset(b) and b.issubset(a)
 
 
-def generic_dual(basis: Mat2, p: int) -> Lattice:
-    """J * B**-T reduced from scratch: the dual by the generic route."""
+def generic_reduction(cols: list[Vec2], p: int) -> Mat2:
+    """Column-reduce any number of generators over Z_p to the canonical triangular basis.
+
+    The independent route for the library's closed forms. Column operations
+    multiply the basis on the right by invertible p-adically integral
+    matrices, so the span is unchanged at every step:
+
+      1. pivot on a column whose first entry has minimal valuation and
+         clear the first row of every other column (the ratios are p-adic
+         integers by pivot minimality, and cancellation is exact);
+      2. among the remaining columns, now of the form (0, y), pivot on a
+         minimal-valuation y; any others cancel to zero exactly;
+      3. scale both pivot columns by p-adic units to make the diagonal
+         entries exact powers of p;
+      4. reduce the corner entry modulo p**b * Z_p to its canonical
+         residue p**b * {y / p**b}_p.
+    """
+    first_row = [(valuation(col.x, p), i) for i, col in enumerate(cols) if col.x != 0]
+    if not first_row:
+        raise ValueError("generators do not span the plane")
+    _, i0 = min(first_row)
+    u = cols[i0]
+    second_row = []
+    for i, col in enumerate(cols):
+        if i == i0:
+            continue
+        if col.x != 0:
+            col = col - u.scaled(col.x / u.x)
+        if col.y != 0:
+            second_row.append((valuation(col.y, p), i, col))
+    if not second_row:
+        raise ValueError("generators do not span the plane")
+    _, _, v = min(second_row, key=lambda item: item[:2])
+
+    a = valuation(u.x, p)
+    u = u.scaled(p_power(p, a) / u.x)
+    pb = p_power(p, valuation(v.y, p))
+    return Mat2(p_power(p, a), 0, pb * fractional_part(u.y / pb, p), pb)
+
+
+def generic_dual(basis: Mat2, p: int) -> Mat2:
+    """J * B**-T reduced from scratch: the dual's canonical basis by the generic route."""
     inv = basis.inverse()
     inverse_transpose = Mat2(inv.a, inv.c, inv.b, inv.d)
-    return Lattice(STANDARD_J @ inverse_transpose, p)
+    return generic_reduction(list((STANDARD_J @ inverse_transpose).columns()), p)
 
 
-def generic_sum(x: Mat2, y: Mat2, p: int) -> Lattice:
+def generic_sum(x: Mat2, y: Mat2, p: int) -> Mat2:
     """The columns of both bases reduced together: the sum by the generic route."""
-    return Lattice(qpadic.lattice._canonical_basis([*x.columns(), *y.columns()], p), p)
+    return generic_reduction([*x.columns(), *y.columns()], p)
 
 
-def generic_intersection(a: Lattice, b: Lattice) -> Lattice:
+def generic_intersection(a: Lattice, b: Lattice) -> Mat2:
     """(A* + B*)* with both duals, the sum and the final dual reduced from scratch."""
     p = a.p
-    dual_sum = generic_sum(generic_dual(a.basis, p).basis, generic_dual(b.basis, p).basis, p)
-    return generic_dual(dual_sum.basis, p)
+    return generic_dual(generic_sum(generic_dual(a.basis, p), generic_dual(b.basis, p), p), p)
 
 
 def is_p_power(q: Fraction, p: int) -> bool:
@@ -355,13 +394,49 @@ class TestContainment:
 
 
 class TestClosedForms:
-    """Closed-form derived lattices against the generic reduction.
+    """Closed forms against the generic reduction.
 
-    `dual`, `scaled`, `measure`, `is_self_dual`, `&` and `+` read their
-    results off the canonical bases; here every one is compared with a
-    lattice reduced from raw generators, which keeps two independent routes
-    for criteria 1-2.
+    The 2x2 reduction behind `Lattice(basis, p)` and `transformed` is a
+    closed form, and `dual`, `scaled`, `measure`, `is_self_dual`, `&` and
+    `+` read their results off the stored exponents and corner; here every
+    one is compared with a basis reduced from raw generators by
+    `generic_reduction`, which keeps two independent routes for criteria 1-2.
     """
+
+    @pytest.fixture(scope="class")
+    def raw_bases(self):
+        rng = random.Random(29)
+        cases = []
+        for p in PRIMES:
+            for _ in range(200):
+                i, j = rng.randint(-3, 3), rng.randint(-3, 3)
+                diagonal = Mat2.diagonal(Fraction(p) ** i, Fraction(p) ** j)
+                cases.append((rand_basis(rng, p), p, rand_unimodular(rng, p), diagonal))
+        return cases
+
+    def test_reduction_matches_generic_route(self, raw_bases):
+        assert len(raw_bases) >= 1000
+        seen = set()
+        for m, p, unimodular, diagonal in raw_bases:
+            for raw in (m, m @ unimodular, diagonal @ m):
+                k = Lattice(raw, p).canonical
+                assert k == generic_reduction(list(raw.columns()), p)
+                if raw.a != 0 and raw.b != 0 and valuation(raw.a, p) == valuation(raw.b, p):
+                    seen.add("tied first row")
+                for i, col in enumerate(raw.columns()):
+                    if col.x == 0:
+                        seen.add(f"zero first entry in column {i}")
+                if p == 2 and k.c != 0 and valuation(k.c, p) < 0:
+                    seen.add("negative corner at p = 2")
+            lat = Lattice(m, p)
+            for g in (unimodular, diagonal):
+                assert lat.transformed(g).canonical == generic_reduction(list((g @ m).columns()), p)
+        assert seen == {
+            "tied first row",
+            "zero first entry in column 0",
+            "zero first entry in column 1",
+            "negative corner at p = 2",
+        }
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -372,13 +447,14 @@ class TestClosedForms:
         assert len(corpus) >= 1000
         for lat in corpus:
             dual = lat.dual()
-            assert dual == generic_dual(lat.basis, lat.p)
+            assert dual.canonical == generic_dual(lat.basis, lat.p)
             assert dual.measure == padic_norm(dual.canonical.det(), lat.p)
 
     def test_scaled_matches_generic_route(self, corpus):
         for lat in corpus:
             for n in range(-3, 4):
-                assert lat.scaled(n) == Lattice(lat.basis.scaled(Fraction(lat.p) ** n), lat.p)
+                scaled = lat.basis.scaled(Fraction(lat.p) ** n)
+                assert lat.scaled(n).canonical == generic_reduction(list(scaled.columns()), lat.p)
 
     def test_measure_matches_padic_norm(self, corpus):
         for lat in corpus:
@@ -386,7 +462,7 @@ class TestClosedForms:
 
     def test_self_duality_matches_generic_dual(self, corpus):
         verdicts = [lat.is_self_dual() for lat in corpus]
-        assert verdicts == [generic_dual(lat.basis, lat.p) == lat for lat in corpus]
+        assert verdicts == [generic_dual(lat.basis, lat.p) == lat.canonical for lat in corpus]
         assert any(verdicts) and not all(verdicts)
 
     @pytest.fixture(scope="class")
@@ -400,11 +476,24 @@ class TestClosedForms:
         orders = {(a.canonical.d > b.canonical.d) - (a.canonical.d < b.canonical.d) for a, b in pairs}
         assert orders == {-1, 0, 1}
         for a, b in pairs:
-            assert a & b == generic_intersection(a, b)
+            assert (a & b).canonical == generic_intersection(a, b)
 
     def test_sum_matches_generic_route(self, pairs):
         for a, b in pairs:
-            assert a + b == generic_sum(a.basis, b.basis, a.p)
+            assert (a + b).canonical == generic_sum(a.basis, b.basis, a.p)
+
+    def test_stored_exponents_match_canonical(self, corpus, pairs):
+        rng = random.Random(30)
+        derived = []
+        for lat in corpus:
+            g = rand_basis(rng, lat.p)
+            derived += [lat, lat.dual(), lat.scaled(rng.randint(-3, 3)), lat.transformed(g)]
+        derived += [op(a, b) for a, b in pairs for op in (operator.and_, operator.add)]
+        for lat in derived:
+            k, p = lat.canonical, lat.p
+            assert k.b == 0 and is_p_power(k.a, p) and is_p_power(k.d, p)
+            assert (lat.a, lat.b, lat.corner) == (valuation(k.a, p), valuation(k.d, p), k.c)
+            assert lat.measure == padic_norm(k.det(), p)
 
     @pytest.mark.parametrize(
         "a, b, meet, join",
@@ -459,9 +548,9 @@ class TestReductionCount:
         calls = []
         reduce = qpadic.lattice._canonical_basis
 
-        def counting(cols, p):
+        def counting(m, p, s):
             calls.append(p)
-            return reduce(cols, p)
+            return reduce(m, p, s)
 
         monkeypatch.setattr(qpadic.lattice, "_canonical_basis", counting)
         ops[op]()

@@ -238,6 +238,11 @@ class TestParsingAndPrimes:
     def test_is_prime_rejects_strong_pseudoprimes(self, n):
         assert not is_prime(n)
 
+    @pytest.mark.parametrize("n, prime", [(1847, True), (1849, False), (1861, True)])
+    def test_is_prime_at_the_trial_division_bound(self, n, prime):
+        # below 43**2 = 1849 trial division by the bases decides alone
+        assert is_prime(n) is prime
+
     def test_is_prime_large(self):
         assert is_prime(10**18 + 3)
         assert is_prime(2**61 - 1)
