@@ -14,10 +14,11 @@ A window of half-width m = N/2 embeds exact data: the lattice
 diag(p^e1, p^e2) * L0 with -m <= e_i <= m becomes the product subgroup
 p^(m+e1)Z x p^(m+e2)Z, and a phase-space point z with entries of
 valuation >= -m becomes p^m * z mod p^N. One builder makes every density,
-p^(-N) * sum of W(-z) over a point set S, as one inverse DFT over z2 and one
-gather: a product subgroup gives an exact Gaussian state, its channel image
-within the noise subgroup a channel output. A channel scan solves each
-distinct output subgroup once and checks every case against its own exact
+p^(-N) * sum of W(-z) over a point set S, as one inverse DFT over z2 of the rows
+z1 that meet S, scattered in place: a product subgroup gives an exact Gaussian
+state, its channel image within the noise subgroup a channel output. Spectra are
+solved per coset block of the matrix's own nonzero offsets. A channel scan solves
+each distinct output subgroup once and checks every case against its own exact
 prediction; spectra, entropies and characteristic functions are checked too.
 
 Everything here is floating point by design; tolerances are carried by
@@ -130,8 +131,10 @@ def ccr_scan(system: WeylSystem, sample: int | None = None, seed: int = 0) -> tu
 
     With sample=None the full pair grid is used; that is only sensible
     when the phase space is tiny (d**2 <= 81), so larger systems should
-    pass a sample size. Returns (max deviation, number of pairs checked).
+    pass a positive sample size. Returns (max deviation, number of pairs checked).
     """
+    if sample is not None and sample <= 0:
+        raise ValueError(f"sample must be positive, got {sample}")
     d = system.dim
     points = [(a, b) for a in range(d) for b in range(d)]
     if sample is None:
@@ -163,12 +166,12 @@ def _indicator(system: WeylSystem, k: int) -> np.ndarray:
 def _subgroup_density(system: WeylSystem, mask: np.ndarray) -> np.ndarray:
     """p^(-N) * sum of W(-z) over the phase-space points z with mask[z] set."""
     d = system.dim
-    x = np.arange(d)
-    z1 = x[:, None]
-    # W(-z1, -z2)[x, (x - z1) % d] = exp(2*pi*i*z2*(h*z1 - x)/d): one inverse DFT over z2
-    sums = np.fft.ifft(mask, axis=1)
-    rho = np.empty((d, d), dtype=complex)
-    rho[x, (x - z1) % d] = sums[z1, (system.half * z1 - x) % d]
+    rows = np.flatnonzero(mask.any(axis=1))  # the other rows z1 sum to an exact 0
+    z1 = rows[:, None]
+    # W(-z1, -z2)[x, (x - z1) % d] = exp(2*pi*i*z2*(h*z1 - x)/d): DFT entry k belongs at x = h*z1 - k
+    x = (system.half * z1 - np.arange(d)) % d
+    rho = np.zeros((d, d), dtype=complex)
+    rho[x, (x - z1) % d] = np.fft.ifft(mask[rows], axis=1)
     return rho
 
 
@@ -193,7 +196,8 @@ def gaussian_density(
         raise NotAStateError(
             f"exponent sum {exponent1 + exponent2} < 0: subgroup is not isotropic"
         )
-    mask = np.outer(_indicator(system, m + exponent1), _indicator(system, m + exponent2))
+    mask = np.zeros((system.dim, system.dim), dtype=bool)
+    mask[:: system.p ** (m + exponent1), :: system.p ** (m + exponent2)] = True  # the subgroup S
     rho = _subgroup_density(system, mask)
     if shift != (0, 0):
         w = weyl_operator(system, *shift)
@@ -245,17 +249,32 @@ def fourier_subgroup_deviation(system: WeylSystem, e1: int, e2: int) -> float:
     return float(np.abs(table - expected).max())
 
 
+def _block_spectrum(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian h of size d, one block per coset of gZ in Z/d:
+    g = gcd(d, every x - y with h[x, y] != 0), so no nonzero entry leaves its block."""
+    d = len(h)
+    x, y = np.nonzero(h != 0)
+    g = int(np.gcd.reduce(x - y, initial=d))
+    if g == 1:
+        return np.linalg.eigvalsh(h)
+    # index q*g + r lies in coset r: block r is h[q*g + r, q'*g + r] over q, q'
+    blocks = h.reshape(d // g, g, d // g, g).diagonal(0, 1, 3).transpose(2, 0, 1)
+    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
+
+
 def validate_density(rho: np.ndarray, psd_tolerance: float = 1e-10) -> np.ndarray:
     """Ascending eigenvalues of rho; ValueError unless it is a density matrix."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
+        raise ValueError("density matrix must be square and nonempty")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has a non-finite entry")
     herm = float(np.abs(rho - rho.conj().T).max())
     if herm > 1e-12:
         raise ValueError(f"not hermitian: max asymmetry {herm:.3e}")
     tr = complex(np.trace(rho))
     if abs(tr - 1) > 1e-12:
         raise ValueError(f"trace {tr} differs from 1")
-    lams = np.linalg.eigvalsh(rho)
+    lams = _block_spectrum(rho)
     low = float(lams.min())
     if low < -psd_tolerance:
         raise ValueError(f"minimum eigenvalue {low:.3e} below -{psd_tolerance}")
@@ -403,7 +422,7 @@ def channel_scan(
         key = out_mask.tobytes()
         if key not in solved:
             rho = _subgroup_density(system, out_mask)
-            spectrum = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+            spectrum = _block_spectrum((rho + rho.conj().T) / 2)
             solved[key] = spectrum, float(spectrum.min()), float(np.real(np.trace(rho)))
         spectrum, min_eig, trace = solved[key]
         n_out = out_lat.a + out_lat.b
@@ -494,6 +513,7 @@ def run_battery(
         Mat2.diagonal(1, p),
         Mat2.diagonal(2, 1),
         Mat2.diagonal(p, p),
+        *(Mat2(*k) for k in ((1, 1, 0, 1), (2, 1, 1, 1), (1, 0, 1, 1), (3, 0, 3, 1))),  # shears, corners
     ]
     noises = [(0, 0), (-1, 0), (1, -1)]
     channel_cases: list[ScanCase] = []

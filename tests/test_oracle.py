@@ -6,11 +6,14 @@ The window convention throughout: a lattice diag(p^e1, p^e2) * L0 with
 shift alpha maps to the finite shift -p^m * alpha mod p^N.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from fractions import Fraction
 
+import qpadic.oracle
 import qpadic.padic
 from qpadic.channels import GaussianState
 from qpadic.errors import NotAStateError
@@ -18,6 +21,7 @@ from qpadic.lattice import Lattice, Mat2, Vec2, standard_lattice
 from qpadic.padic import Prime
 from qpadic.oracle import (
     WeylSystem,
+    _block_spectrum,
     _indicator,
     _subgroup_density,
     ccr_deviation,
@@ -50,6 +54,32 @@ def weyl_sum_density(system, mask):
 
 def product_mask(system, k1, k2):
     return np.outer(_indicator(system, k1), _indicator(system, k2))
+
+
+def coset_count(h):
+    """gcd of d and every offset x - y at which h[x, y] is nonzero, one entry at a time."""
+    return math.gcd(len(h), *(int(x) - int(y) for x, y in zip(*np.nonzero(h))))
+
+
+def scan_mask(system, transform, noise, inputs):
+    """Output mask of one scan case: the input subgroup pulled back by K, within the noise."""
+    d, m = system.dim, system.window
+    ka, kb, kc, kd = transform
+    z1, z2 = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    return (
+        _indicator(system, m + inputs[0])[(ka * z1 + kb * z2) % d]
+        & _indicator(system, m + inputs[1])[(kc * z1 + kd * z2) % d]
+        & product_mask(system, m + noise[0], m + noise[1])
+    )
+
+
+def battery_transforms(p):
+    """run_battery's transforms at p: diagonals, then shears and a nonzero-corner transform."""
+    return [(1, 0, 0, 1), (p, 0, 0, 1), (1, 0, 0, p), (2, 0, 0, 1), (p, 0, 0, p),
+            (1, 1, 0, 1), (2, 1, 1, 1), (1, 0, 1, 1), (3, 0, 3, 1)]
+
+
+NOISES = ((0, 0), (-1, 0), (1, -1))
 
 
 class TestSystemParameters:
@@ -118,6 +148,12 @@ class TestWeylOperators:
         dev2, n2 = ccr_scan(s52, sample=100, seed=3)
         assert (dev1, n1) == (dev2, n2)
         assert n1 == 100 and dev1 < 1e-10
+
+    @pytest.mark.parametrize("sample", [0, -3])
+    def test_empty_sample_is_refused(self, sample):
+        # an empty sample used to report a vacuous (0.0, 0)
+        with pytest.raises(ValueError, match="sample must be positive"):
+            ccr_scan(SYS, sample=sample)
 
 
 class TestGaussianDensities:
@@ -198,6 +234,28 @@ class TestDensityBuilder:
             assert np.abs(_subgroup_density(system, mask) - weyl_sum_density(system, mask)).max() < 1e-12
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
+    def test_masks_with_empty_rows(self, p, n):
+        # rows z1 that miss the mask are skipped by the builder and must come out exactly 0
+        system = WeylSystem(p, n)
+        d = system.dim
+        rng = np.random.default_rng(63)
+        masks = []
+        for keep in (0.5, 0.2):
+            mask = rng.random((d, d)) < 0.4
+            mask[rng.random(d) >= keep] = False
+            masks.append(mask)
+        one_row = np.zeros((d, d), dtype=bool)
+        one_row[p, ::p] = True
+        masks += [one_row, np.zeros((d, d), dtype=bool)]
+        assert all(not mask.any(axis=1).all() for mask in masks)
+        for mask in masks:
+            rho = _subgroup_density(system, mask)
+            assert np.abs(rho - weyl_sum_density(system, mask)).max() < 1e-12
+            x = np.arange(d)
+            for z1 in np.flatnonzero(~mask.any(axis=1)):
+                assert not rho[x, (x - z1) % d].any()
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
     def test_gaussian_density_matches_weyl_sum(self, p, n):
         system = WeylSystem(p, n)
         m = system.window
@@ -269,6 +327,21 @@ class TestDensityValidation:
     def test_maximally_mixed_entropy(self):
         assert abs(entropy_nats(np.eye(9) / 9) - np.log(9)) < 1e-12
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entries(self, value):
+        # NaN > 1e-12 is False, so a NaN entry used to pass the hermitian and trace checks
+        for at in ((0, 0), (0, 1)):
+            bad = gaussian_density(SYS, 0, 0)
+            bad[at] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                validate_density(bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                entropy_nats(bad)
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            validate_density(np.zeros((0, 0), dtype=complex))
+
 
 class TestChannelScan:
     def test_witnesses_inadmissible_channel(self):
@@ -331,8 +404,6 @@ class TestChannelScan:
     def test_shared_masks_keep_their_own_spectra(self, p, n, monkeypatch):
         # shears make non-product output masks; a case must never carry another case's spectrum
         system = WeylSystem(p, n)
-        d, m = system.dim, system.window
-        z1, z2 = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
         solves = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -346,18 +417,88 @@ class TestChannelScan:
             for noise in ((0, 0), (-1, 0), (1, -1)):
                 cases = channel_scan(system, Mat2(*k), noise)
                 total += len(cases)
-                noise_mask = product_mask(system, m + noise[0], m + noise[1])
                 for case in cases:
                     assert case.agree
-                    g, h = case.input_exponents
-                    mask = (
-                        _indicator(system, m + g)[(k[0] * z1 + k[1] * z2) % d]
-                        & _indicator(system, m + h)[(k[2] * z1 + k[3] * z2) % d]
-                        & noise_mask
-                    )
+                    mask = scan_mask(system, k, noise, case.input_exponents)
                     fresh = eigvalsh(weyl_sum_density(system, mask))
                     assert np.abs(np.array(case.spectrum) - fresh).max() < 1e-12
         assert 0 < len(solves) < total
+
+
+class TestBlockSpectrum:
+    """The coset-block solve against one full eigvalsh of the same matrix."""
+
+    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
+    def test_matches_full_solve_on_oracle_densities(self, p, n, monkeypatch):
+        system = WeylSystem(p, n)
+        d, m = system.dim, system.window
+        densities = [
+            gaussian_density(system, e1, e2, shift=shift)
+            for e1 in range(-m, m + 1)
+            for e2 in range(max(-m, -e1), m + 1)
+            for shift in ((0, 0), (1, p + 1))
+        ]
+        solve = qpadic.oracle._block_spectrum
+
+        def recorded(h):
+            densities.append(h)
+            return solve(h)
+
+        monkeypatch.setattr(qpadic.oracle, "_block_spectrum", recorded)
+        for k in battery_transforms(p):
+            for noise in NOISES:
+                channel_scan(system, Mat2(*k), noise)
+        monkeypatch.undo()
+        cosets = set()
+        for h in densities:
+            assert np.abs(_block_spectrum(h) - np.linalg.eigvalsh(h)).max() < 1e-12
+            cosets.add(coset_count(h))
+        # the corpus holds full solves, proper splits and, past d = 9, a split into 1x1 blocks
+        assert 1 in cosets and any(1 < g < d for g in cosets)
+        assert d == 9 or d in cosets
+
+    def test_dense_diagonal_and_zero_matrices(self):
+        rng = np.random.default_rng(64)
+        for d in (9, 25, 81):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            dense = a + a.conj().T
+            diagonal = np.diag(rng.normal(size=d)).astype(complex)
+            assert coset_count(dense) == 1 and coset_count(diagonal) == d
+            for h in (dense, diagonal):
+                assert np.abs(_block_spectrum(h) - np.linalg.eigvalsh(h)).max() < 1e-12
+            assert not _block_spectrum(np.zeros((d, d), dtype=complex)).any()
+
+    def test_planted_entry_outside_the_cosets(self):
+        # one entry off the density's cosets merges blocks; the spectrum stays the full one
+        system = WeylSystem(3, 4)
+        rho = gaussian_density(system, 1, 0)
+        assert coset_count(rho) == 27
+        for (x, y), want in (((0, 9), 9), ((5, 11), 3), ((0, 1), 1), ((80, 0), 1)):
+            h = rho.copy()
+            h[x, y] += 0.03 + 0.01j
+            h[y, x] += 0.03 - 0.01j
+            assert coset_count(h) == want
+            assert np.abs(_block_spectrum(h) - np.linalg.eigvalsh(h)).max() < 1e-12
+
+    def test_scan_splits_by_the_density_it_solves(self, monkeypatch):
+        # the split comes from the matrix, not from the mask that built it
+        system = WeylSystem(3, 4)
+        build = qpadic.oracle._subgroup_density
+
+        def planted(system, mask):
+            rho = build(system, mask)
+            rho[0, 1] += 0.01
+            rho[1, 0] += 0.01
+            return rho
+
+        monkeypatch.setattr(qpadic.oracle, "_subgroup_density", planted)
+        k = (3, 0, 0, 1)
+        cases = channel_scan(system, Mat2(*k), (0, 0))
+        assert cases
+        for case in cases:
+            rho = planted(system, scan_mask(system, k, (0, 0), case.input_exponents))
+            want = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+            assert np.abs(np.array(case.spectrum) - want).max() < 1e-12
 
 
 def output_lattice(p, case):
@@ -366,15 +507,20 @@ def output_lattice(p, case):
     return exponent_lattice(p, *case["input"]).transformed(inverse) & exponent_lattice(p, *case["noise"])
 
 
+@pytest.fixture(scope="module")
+def battery():
+    """One (3, 2) battery report, shared by the tests that only read it."""
+    return run_battery(SYS)
+
+
 class TestBattery:
-    def test_full_battery_passes(self):
-        report = run_battery(SYS)
-        assert report["all_checks_pass"]
-        assert report["ccr"]["pairs"] == 9**4
-        assert report["ccr"]["max_deviation"] < 1e-10
-        assert report["fourier_max_deviation"] < 1e-10
-        assert all(row["ok"] for row in report["states"])
-        assert all(case["agree"] for case in report["channel_cases"])
+    def test_full_battery_passes(self, battery):
+        assert battery["all_checks_pass"]
+        assert battery["ccr"]["pairs"] == 9**4
+        assert battery["ccr"]["max_deviation"] < 1e-10
+        assert battery["fourier_max_deviation"] < 1e-10
+        assert all(row["ok"] for row in battery["states"])
+        assert all(case["agree"] for case in battery["channel_cases"])
 
     def test_battery_is_deterministic(self):
         import json
@@ -383,9 +529,8 @@ class TestBattery:
         b = json.dumps(run_battery(SYS, seed=1), sort_keys=True)
         assert a == b
 
-    def test_pure_exactly_at_exponent_sum_zero(self):
-        for system in (SYS, WeylSystem(3, 4)):
-            rows = run_battery(system, max_cases=0)["states"]
+    def test_pure_exactly_at_exponent_sum_zero(self, battery):
+        for rows in (battery["states"], run_battery(WeylSystem(3, 4), max_cases=0)["states"]):
             assert any(row["pure"] for row in rows)
             assert any(not row["pure"] for row in rows)
             for row in rows:
@@ -406,9 +551,15 @@ class TestBattery:
             (tuple(case["transform"]), tuple(case["noise"]), output_lattice(SYS.p, case))
             for case in report["channel_cases"]
         }
-        assert len(report["channel_cases"]) == 78 and len(outputs) == 45
+        assert len(report["channel_cases"]) == 147 and len(outputs) == 86
         assert len(calls) == len(report["states"]) + len(outputs)
 
-    def test_max_cases_truncates(self):
+    def test_grid_has_shears_and_nonzero_corners(self, battery):
+        transforms = {tuple(case["transform"]) for case in battery["channel_cases"]}
+        assert transforms == set(battery_transforms(SYS.p))
+        corners = [output_lattice(SYS.p, case).corner for case in battery["channel_cases"]]
+        assert any(corner != 0 for corner in corners)
+
+    def test_max_cases_truncates(self, battery):
         report = run_battery(SYS, max_cases=5)
-        assert len(report["channel_cases"]) == 5
+        assert report["channel_cases"] == battery["channel_cases"][:5]
