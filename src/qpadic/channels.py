@@ -25,7 +25,7 @@ from .adelic import gain_exponent
 from .errors import InvariantViolation, NotAChannelError, NotAStateError
 from .ledger import LogLedger
 from .lattice import Lattice, Mat2, Vec2, sympl
-from .padic import PhaseQ, additive_character, p_power, padic_norm, valuation
+from .padic import PhaseQ, additive_character, padic_norm
 from .value import FrozenValue
 
 __all__ = [
@@ -104,7 +104,7 @@ def channel_validity(transform: Mat2, noise: Lattice) -> ChannelValidity:
 
 
 class GaussianChannel:
-    """Admissible Gaussian channel (K, L_noise); immutable, so K^-1, n0 and K^-1 L are derived once."""
+    """Admissible Gaussian channel (K, L_noise); immutable, so K^-1, K^-1 L and n0 are derived once."""
 
     __slots__ = ("_transform", "_noise", "_inverse", "_adjugate", "_threshold", "_pulled")
     transform = property(attrgetter("_transform"), doc="The transform K (read-only).")
@@ -119,7 +119,14 @@ class GaussianChannel:
             )
         self._transform, self._noise, self._adjugate = transform, noise, transform.adjugate()
         self._inverse = self._adjugate.scaled(1 / transform.det())
-        self._threshold = self._pulled = None
+        self._pulled = pulled = noise.transformed(self._inverse)
+        self._threshold = max(
+            0,
+            noise.a - pulled.a,
+            noise.b - pulled.b,
+            noise.b - pulled.a - pulled._slope_valuation(noise),
+            -((noise.a + noise.b) // 2),
+        )
 
     @property
     def p(self) -> int:
@@ -152,31 +159,14 @@ class GaussianChannel:
     def witness_threshold(self) -> int:
         """Smallest n0 >= 0 such that the shrinking-noise witness works for all n >= n0.
 
-        Four conditions, each monotone in n, must hold for L_n = p**n * L:
-        L_n and K^-1 L_n are contained in L and both have measure <= 1
-        (so the witness input and output are honest states). With B the
-        canonical basis of L, s = v_p(det B) = a + b and g = -v_p(det K), each is
-        a lower bound on n read off exact valuations:
-
-          p**n L in L                iff  n >= 0;
-          K^-1 p**n L in L           iff  n >= -min v_p(entries of B^-1 K^-1 B);
-          measure(p**n L) <= 1       iff  2n >= -s;
-          measure(K^-1 p**n L) <= 1  iff  2n >= -s - g.
+        Read off (a, b, c) of L and P = K^-1 L, with s = a + b and sigma = c / p**a:
+        p**n L lies in L iff n >= 0, and has measure <= 1 iff 2n >= -s. p**n P lies
+        in L iff its columns (0, p**(n + b_P)) and (p**(n + a_P), p**n c_P) do, i.e.
+        n >= b_L - b_P, n >= a_L - a_P and n >= b_L - a_P - v(sigma_P - sigma_L), the
+        last dropping out when the slopes agree. The admissible channel maps the state
+        gamma(p**n L) to gamma(p**n P), so P needs no measure bound of its own.
         """
-        if self._threshold is None:
-            p, basis = self.p, self._noise.canonical
-            s = self._noise.a + self._noise.b
-            g = gain_exponent(self._transform, p)
-            m = basis.inverse() @ self._inverse @ basis
-            containment = -min(valuation(x, p) for x in (m.a, m.b, m.c, m.d) if x != 0)
-            self._threshold = max(0, containment, -(s // 2), -((s + g) // 2))
         return self._threshold
-
-    def _pulled_noise(self) -> Lattice:
-        """K^-1 L_noise, reduced once per channel."""
-        if self._pulled is None:
-            self._pulled = self._noise.transformed(self._inverse)
-        return self._pulled
 
     def entropy_gain_witness(self, n: int) -> LogLedger:
         """Entropy difference realized on the witness state gamma(p**n * L).
@@ -185,22 +175,26 @@ class GaussianChannel:
         K^-1 * (p**n L), checked against p**n * (K^-1 L) scaled in closed
         form, so the difference of exact entropy ledgers equals the gain.
         """
-        if n < self.witness_threshold():
+        if n < self._threshold:
             raise ValueError(f"witness index {n} is below the threshold")
         inp = GaussianState(self._noise.scaled(n))
         out = self.apply(inp)
-        if out.lattice != self._pulled_noise().scaled(n):
+        if out.lattice != self._pulled.scaled(n):
             raise InvariantViolation("witness output lattice is not the pulled-back input")
         return out.entropy() - inp.entropy()
 
     def identity_output_norm(self) -> Fraction:
         """Exact norm of the channel applied to the identity: |det K|_p ** -1.
 
-        Read off as the measure ratio of K^-1 L_noise to L_noise, and
-        checked on every call against p**(-g) for the closed-form gain
-        exponent g.
+        Read off as the measure ratio of K^-1 L_noise to L_noise. Every call
+        first checks the reduced K^-1 L_noise by mutual containment, which
+        solves B x = v instead of reducing: K^-1 maps the canonical columns
+        of L_noise into it, and K maps its canonical columns into L_noise.
         """
-        norm = self._pulled_noise().measure / self._noise.measure
-        if norm != p_power(self.p, -gain_exponent(self._transform, self.p)):
-            raise InvariantViolation("identity-output norm disagrees with entropy gain")
-        return norm
+        noise, pulled = self._noise, self._pulled
+        if not (
+            all(pulled.contains(self._inverse @ v) for v in noise.canonical.columns())
+            and all(noise.contains(self._transform @ v) for v in pulled.canonical.columns())
+        ):
+            raise InvariantViolation("reduced K^-1 L_noise is not the image of the noise lattice")
+        return pulled.measure / noise.measure

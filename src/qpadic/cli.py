@@ -121,8 +121,6 @@ def _cmd_oracle(args) -> tuple[dict, int]:
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--log-base", choices=("e", "2", "10"), default="e", dest="log_base")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,6 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         if action == "apply":
             sub.add_argument("--state", required=True)
             sub.add_argument("--shift", default=None)
+        if action in ("apply", "gain"):
+            sub.add_argument("--log-base", choices=("e", "2", "10"), default="e", dest="log_base")
         _common_flags(sub)
         sub.set_defaults(run=_cmd_channel)
 
@@ -170,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--p", type=int, required=True)
     orc.add_argument("--N", type=int, required=True)
     orc.add_argument("--max-cases", type=int, default=None, dest="max_cases")
+    orc.add_argument("--seed", type=int, default=0)
     _common_flags(orc)
     orc.set_defaults(run=_cmd_oracle)
 

@@ -246,10 +246,13 @@ class Lattice:
         """
         self._require_same_prime(other)
         one, two = (self, other) if self.b >= other.b else (other, self)
-        p, sigma = self.p, one.corner / one.canonical.a
-        a = max(one.a, two.a, two.b - valuation(sigma - two.corner / two.canonical.a, p))
-        corner = one.canonical.d * fractional_part(sigma * p_power(p, a - one.b), p)
+        p, a = self.p, max(one.a, two.a, two.b - one._slope_valuation(two))
+        corner = one.canonical.d * fractional_part(one.corner * p_power(p, a - one.a - one.b), p)
         return Lattice._from_canonical(a, one.b, corner, p)
+
+    def _slope_valuation(self, other: "Lattice") -> int | float:
+        """v(sigma - sigma') of the slopes sigma = c / p**a; INFINITY when they agree."""
+        return valuation(self.corner / self.canonical.a - other.corner / other.canonical.a, self.p)
 
     def scaled(self, n: int) -> "Lattice":
         """p**n * L. Scaling multiplies the (2-dimensional) measure by p**(-2n)."""

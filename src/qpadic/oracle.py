@@ -262,7 +262,7 @@ def _block_spectrum(h: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
-def validate_density(rho: np.ndarray, psd_tolerance: float = 1e-10) -> np.ndarray:
+def validate_density(rho: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of rho; ValueError unless it is a density matrix."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
         raise ValueError("density matrix must be square and nonempty")
@@ -276,8 +276,8 @@ def validate_density(rho: np.ndarray, psd_tolerance: float = 1e-10) -> np.ndarra
         raise ValueError(f"trace {tr} differs from 1")
     lams = _block_spectrum(rho)
     low = float(lams.min())
-    if low < -psd_tolerance:
-        raise ValueError(f"minimum eigenvalue {low:.3e} below -{psd_tolerance}")
+    if low < -1e-10:
+        raise ValueError(f"minimum eigenvalue {low:.3e} below -1e-10")
     return lams
 
 

@@ -8,7 +8,7 @@ import pytest
 import qpadic.channels
 import qpadic.lattice
 from qpadic.channels import GaussianChannel, GaussianState, channel_validity
-from qpadic.errors import NotAChannelError, NotAStateError
+from qpadic.errors import InvariantViolation, NotAChannelError, NotAStateError
 from qpadic.lattice import Lattice, Mat2, Vec2, standard_lattice, sympl
 from qpadic.ledger import LogLedger
 from qpadic.padic import additive_character, valuation
@@ -43,6 +43,31 @@ def scanned_threshold(chan: GaussianChannel) -> int:
         ):
             return n
         n += 1
+
+
+def threshold_terms(chan: GaussianChannel) -> dict:
+    """The lower bounds on n0 besides 0, from L and a freshly reduced P = K^-1 L."""
+    noise, pulled = chan.noise, chan.noise.transformed(chan.transform.inverse())
+    gap = valuation(pulled.corner / pulled.canonical.a - noise.corner / noise.canonical.a, noise.p)
+    return {
+        "a": noise.a - pulled.a,
+        "b": noise.b - pulled.b,
+        "corner": noise.b - pulled.a - gap,
+        "measure": -((noise.a + noise.b) // 2),
+    }
+
+
+def binding_terms(chan: GaussianChannel) -> list[str]:
+    """Names of the positive terms that reach the maximum."""
+    terms = threshold_terms(chan)
+    top = max(terms.values())
+    return [name for name, value in terms.items() if value == top > 0]
+
+
+def output_measure_term(chan: GaussianChannel) -> int:
+    """Least n with measure(p**n K^-1 L) <= 1."""
+    pulled = chan.noise.transformed(chan.transform.inverse())
+    return -((pulled.a + pulled.b) // 2)
 
 
 class TestStateValidity:
@@ -248,6 +273,36 @@ class TestGainLaw:
         assert GaussianChannel(Mat2.diagonal(9, 1), p3).witness_threshold() == 2
         assert GaussianChannel(Mat2(1, 1, 0, 1), p3).witness_threshold() == 0
 
+    @pytest.mark.parametrize(
+        "k,noise,term,n0",
+        [
+            ("3,0;0,1", "1,0;0,1", "a", 1),
+            ("9,0;0,1", "1,0;0,1", "a", 2),
+            ("1,0;0,3", "1,0;0,1", "b", 1),
+            ("1,1;1,3", "1,0;0,3", "b", 1),
+            ("1,1;0,3", "3,0;1,9", "corner", 4),
+            ("1,1;1,3", "3,0;1,9", "corner", 3),
+        ],
+    )
+    def test_each_term_binds_alone(self, k, noise, term, n0):
+        # the measure term is pinned alone by test_measure_bound_sets_threshold
+        chan = GaussianChannel(Mat2.parse(k), Lattice(Mat2.parse(noise), 3))
+        assert binding_terms(chan) == [term]
+        assert chan.witness_threshold() == scanned_threshold(chan) == n0
+
+    def test_output_measure_bound_never_binds_alone(self):
+        # The witness output p**n K^-1 L needs measure <= 1 too, but admissibility
+        # keeps that bound at or below the others; K = 3I ties it with both pivots.
+        p3 = standard_lattice(3)
+        tied = GaussianChannel(Mat2.diagonal(3, 3), p3)
+        assert threshold_terms(tied) == {"a": 1, "b": 1, "corner": float("-inf"), "measure": 0}
+        assert output_measure_term(tied) == tied.witness_threshold() == scanned_threshold(tied) == 1
+        rng = random.Random(44)
+        for p in PRIMES:
+            for _ in range(200):
+                chan = rand_valid_channel(rng, p)
+                assert output_measure_term(chan) <= max(0, *threshold_terms(chan).values())
+
     def test_closed_form_threshold_matches_scan(self):
         rng = random.Random(42)
         for p in PRIMES:
@@ -266,6 +321,7 @@ class TestGainLaw:
         # K = I makes containment trivial, so the noise measure alone sets n0
         chan = GaussianChannel(Mat2.identity(), Lattice(noise, 3))
         assert chan.noise.measure > 1
+        assert binding_terms(chan) == ["measure"]
         assert chan.witness_threshold() == scanned_threshold(chan) == n0
 
     def test_pinned_witnesses(self):
@@ -303,6 +359,25 @@ class TestGainLaw:
         wide = GaussianChannel(Mat2.diagonal(Fraction(1, 9), 1), diag_lattice(3, 9, 1))
         assert wide.identity_output_norm() == Fraction(1, 9)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda lat: Lattice._from_canonical(lat.a, lat.b, 2 * lat.corner, lat.p),
+            lambda lat: Lattice._from_canonical(lat.a, lat.b + 1, lat.corner, lat.p),
+            lambda lat: Lattice._from_canonical(lat.a, lat.b - 1, lat.corner, lat.p),
+        ],
+        ids=["doubled-corner", "b-plus-one", "b-minus-one"],
+    )
+    def test_norm_checks_the_reduced_image(self, monkeypatch, mutate):
+        k, noise = Mat2.parse("1,1;0,3"), Lattice(Mat2.parse("3,0;1,9"), 3)
+        honest = noise.transformed(k.inverse())
+        assert mutate(honest) != honest
+        transformed = Lattice.transformed
+        monkeypatch.setattr(Lattice, "transformed", lambda lat, g: mutate(transformed(lat, g)))
+        chan = GaussianChannel(k, noise)
+        with pytest.raises(InvariantViolation):
+            chan.identity_output_norm()
+
     def test_norm_consistent_with_gain(self):
         rng = random.Random(41)
         for p in (2, 3, 5):
@@ -313,7 +388,7 @@ class TestGainLaw:
 
 
 class TestDerivedOnce:
-    """A channel is immutable and derives K^-1, its threshold and K^-1 L once."""
+    """A channel is immutable and derives K^-1, K^-1 L and its threshold in the constructor."""
 
     def test_witness_reductions(self, monkeypatch):
         rng = random.Random(43)
@@ -326,28 +401,41 @@ class TestDerivedOnce:
             return reduce(m, p, s)
 
         monkeypatch.setattr(qpadic.lattice, "_canonical_basis", counting)
-        for chan in channels:
-            n0 = chan.witness_threshold()
+        for built in channels:
             calls.clear()
-            chan.entropy_gain_witness(n0)  # one in apply, one for K^-1 L
+            chan = GaussianChannel(built.transform, built.noise)  # one, for K^-1 L
+            assert len(calls) == 1
+            n0 = chan.witness_threshold()
+            assert len(calls) == 1
+            chan.entropy_gain_witness(n0)  # apply alone
             assert len(calls) == 2
-            chan.entropy_gain_witness(n0 + 1)  # apply alone
+            chan.entropy_gain_witness(n0 + 1)
             assert len(calls) == 3
 
     def test_threshold_computed_once(self, monkeypatch):
         chan = GaussianChannel(Mat2.diagonal(9, 1), standard_lattice(3))
+        assert all(getattr(chan, slot) is not None for slot in GaussianChannel.__slots__)
         calls = []
-        gain = qpadic.channels.gain_exponent
 
-        def counting(k, p):
-            calls.append(p)
-            return gain(k, p)
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
 
-        monkeypatch.setattr(qpadic.channels, "gain_exponent", counting)
+            return wrapper
+
+        for owner, name in (
+            (Mat2, "inverse"),
+            (Mat2, "__matmul__"),
+            (qpadic.channels, "gain_exponent"),
+            (qpadic.lattice, "_canonical_basis"),
+        ):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         assert [chan.witness_threshold() for _ in range(3)] == [2, 2, 2]
+        assert calls == []
         chan.entropy_gain_witness(2)
         chan.entropy_gain_witness(3)
-        assert len(calls) == 1
+        assert "gain_exponent" not in calls and "inverse" not in calls
 
     def test_fields_refuse_assignment(self):
         chan = GaussianChannel(Mat2.diagonal(3, 1), standard_lattice(3))

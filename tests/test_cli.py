@@ -132,10 +132,57 @@ class TestFormats:
         payload = json.loads(out)
         assert payload["value_base_2"] == "-1*log2(3)"
 
+    def test_log_base_on_apply(self):
+        args = GOLDEN_CASES["channel_apply.json"] + ["--log-base", "10"]
+        code, out, _ = run_cli(args)
+        assert code == 0
+        assert json.loads(out)["entropy"]["value_base_10"] == "1*log10(3)"
+
     def test_json_keys_sorted(self):
         _, out, _ = run_cli(["adelic", "--K", "12,0;0,1/5"])
         payload = json.loads(out)
         assert list(payload) == sorted(payload)
+
+
+class TestFlags:
+    """--format is common to all twelve subcommands; --log-base and --seed exist only where read."""
+
+    COMMANDS = {
+        " ".join(args[: 1 if args[0] == "adelic" else 2]): args for args in GOLDEN_CASES.values()
+    } | {
+        "lattice selfdual": ["lattice", "selfdual", "--p", "3", "--basis", "1,0;0,1"],
+        "oracle": ["oracle", "--p", "3", "--N", "2", "--max-cases", "1"],
+    }
+    READERS = {"--log-base=2": ("channel gain", "channel apply"), "--seed=1": ("oracle",)}
+
+    def test_twelve_subcommands(self):
+        assert len(self.COMMANDS) == 12
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_unread_flags_are_refused(self, name):
+        for flag, readers in self.READERS.items():
+            if name not in readers:
+                code, out, err = run_cli(self.COMMANDS[name] + [flag])
+                assert (code, out) == (1, "") and err.startswith("error:") and flag.split("=")[0] in err
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_format_is_common(self, name):
+        code, out, err = run_cli(self.COMMANDS[name] + ["--format", "text"])
+        assert code == 0 and err == "" and out
+
+    def test_seed_reaches_the_battery(self, monkeypatch):
+        seeds = []
+        battery = qpadic.oracle.run_battery
+
+        def recording(system, seed, max_cases):
+            seeds.append(seed)
+            return battery(system, seed=seed, max_cases=max_cases)
+
+        monkeypatch.setattr(qpadic.oracle, "run_battery", recording)
+        for extra in ([], ["--seed", "7"]):
+            code, out, err = run_cli(self.COMMANDS["oracle"] + extra)
+            assert code == 0 and err == "" and json.loads(out)["all_checks_pass"]
+        assert seeds == [0, 7]
 
 
 class TestOracleCommand:

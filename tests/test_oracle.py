@@ -316,6 +316,13 @@ class TestDensityValidation:
         with pytest.raises(ValueError):
             validate_density(bad)
 
+    def test_psd_tolerance_is_fixed_at_1e_10(self):
+        near = np.diag([1 + 5e-11, -5e-11, 0.0]).astype(complex)
+        assert validate_density(near)[0] == -5e-11
+        past = np.diag([1 + 2e-10, -2e-10, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match=r"minimum eigenvalue -2\.000e-10 below -1e-10"):
+            validate_density(past)
+
     def test_returns_ascending_spectrum(self):
         rho = gaussian_density(SYS, 1, 0, shift=(3, 5))
         lams = validate_density(rho)
