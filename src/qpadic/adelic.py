@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .lattice import Mat2
-from .padic import p_power, require_prime, valuation
+from .padic import require_prime, valuation
 from .value import FrozenValue
 
 __all__ = [
@@ -146,12 +146,14 @@ class AdelicGainReport(FrozenValue):
 
 
 def adelic_report(transform: Mat2) -> AdelicGainReport:
-    """Build the sum-zero report for a nonsingular rational transform."""
+    """Build the sum-zero report for a nonsingular rational transform, from one det K."""
     det = transform.det()
     if det == 0:
         raise ValueError("transform must be nonsingular")
     real = factor_rational(det)
-    primes = {q: gain_exponent(transform, q) for q in real}
-    product = math.prod(p_power(q, e) for q, e in real.items())
-    sum_is_zero = product == abs(det) and all(primes[q] + e == 0 for q, e in real.items())
+    primes = {q: -valuation(det, q) for q in real}
+    num = math.prod(q**e for q, e in real.items() if e > 0)
+    den = math.prod(q**-e for q, e in real.items() if e < 0)
+    cancels = all(primes[q] + e == 0 for q, e in real.items())
+    sum_is_zero = cancels and (num, den) == (abs(det.numerator), det.denominator)
     return AdelicGainReport(det=det, prime_gains=primes, real_gain=real, sum_is_zero=sum_is_zero)

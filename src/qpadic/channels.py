@@ -106,7 +106,7 @@ def channel_validity(transform: Mat2, noise: Lattice) -> ChannelValidity:
 class GaussianChannel:
     """Admissible Gaussian channel (K, L_noise); immutable, so K^-1, K^-1 L and n0 are derived once."""
 
-    __slots__ = ("_transform", "_noise", "_inverse", "_adjugate", "_threshold", "_pulled")
+    __slots__ = ("_transform", "_noise", "_inverse", "_adjugate", "_gain", "_threshold", "_pulled")
     transform = property(attrgetter("_transform"), doc="The transform K (read-only).")
     noise = property(attrgetter("_noise"), doc="The noise lattice (read-only).")
 
@@ -119,7 +119,8 @@ class GaussianChannel:
             )
         self._transform, self._noise, self._adjugate = transform, noise, transform.adjugate()
         self._inverse = self._adjugate.scaled(1 / transform.det())
-        self._pulled = pulled = noise.transformed(self._inverse)
+        self._gain = gain_exponent(transform, noise.p)  # = v_p(det K^-1), reused by every image
+        self._pulled = pulled = noise._image(self._inverse, self._gain)
         self._threshold = max(
             0,
             noise.a - pulled.a,
@@ -145,7 +146,7 @@ class GaussianChannel:
         """
         if state.p != self.p:
             raise ValueError(f"prime mismatch: state at {state.p}, channel at {self.p}")
-        out = state.lattice.transformed(self._inverse) & self._noise
+        out = state.lattice._image(self._inverse, self._gain) & self._noise
         if out.a + out.b < 0:
             raise InvariantViolation(
                 f"admissible channel produced output measure {out.measure} > 1"
@@ -154,7 +155,7 @@ class GaussianChannel:
 
     def entropy_gain(self) -> LogLedger:
         """Exact entropy gain: log of |det K|_p, i.e. exponent -v_p(det K)."""
-        return LogLedger.single(self.p, gain_exponent(self._transform, self.p))
+        return LogLedger.single(self.p, self._gain)
 
     def witness_threshold(self) -> int:
         """Smallest n0 >= 0 such that the shrinking-noise witness works for all n >= n0.

@@ -16,12 +16,11 @@ corner can have negative valuation when the class genuinely does (e.g.
 basis [[1,0],[1/2,1]] at p = 2 reduces to itself). Two lattices are equal
 iff (a, b, c) match, and the measure is p**-(a + b).
 
-Only a user basis and the image of a transform are reduced, in closed
-form: pivot on the column whose first entry has least valuation a, then
-b = v_p(det) - a and c = p**b * {y * p**a / (x * p**b)}_p for the pivot
-column (x, y). Duals, scalings, sums and intersections are built from
-(a, b, c) with no reduction. The generic n-column reduction lives only in
-the tests, as the independent route these closed forms are checked against.
+Only a user basis and an image g * L are reduced, in closed form: pivot on the
+column (x, y) of least first valuation a, column 1 on a tie, so b = v_p(det) - a
+and c = p**b * {(y / x) * p**(a - b)}_p; an image forms only its first row and
+pivot slope. Duals, scalings, sums and intersections are built from (a, b, c), the
+canonical matrix on first read; the tests check each against a generic reduction.
 """
 
 from __future__ import annotations
@@ -153,25 +152,23 @@ def sympl(u: Vec2, v: Vec2) -> Fraction:
 STANDARD_J = Mat2(0, 1, -1, 0)
 
 
-def _canonical_basis(m: Mat2, p: Prime, s: int) -> tuple[int, int, Fraction]:
-    """Exponents a, b and corner c of the canonical basis of a nonsingular m with v_p(det m) = s.
+def _canonical_basis(p: Prime, s: int, v1, v2, slope) -> tuple[int, int, Fraction]:
+    """(a, b, c) of the span of columns (x1, y1), (x2, y2): s = v_p(det), v1 = v(x1), v2 = v(x2).
 
-    Pivot on the column (x, y) whose first entry has least valuation a: the
-    other first entry is then a Z_p-multiple of x, and clearing it leaves a
-    second entry of valuation s - a. So b = s - a, and scaling the pivot by
-    the unit p**a / x gives the corner c = p**b * {y * p**a / (x * p**b)}_p.
+    Pivot on the column (x, y) of least first valuation a, column 1 on a tie; slope(first) is
+    its y / x. Clearing the other first entry leaves valuation s - a below, so b = s - a.
     """
-    va, vb = valuation(m.a, p), valuation(m.b, p)
-    x, y, a = (m.a, m.c, va) if va <= vb else (m.b, m.d, vb)
+    first = v1 <= v2
+    a = v1 if first else v2
     b = s - a
-    return a, b, p_power(p, b) * fractional_part(y * p_power(p, a - b) / x, p)
+    return a, b, p_power(p, b) * fractional_part(slope(first) * p_power(p, a - b), p)
 
 
 class Lattice:
     """Z_p-span of the columns of a nonsingular rational basis matrix.
 
-    The exponents a, b and the corner of the canonical basis are computed
-    eagerly, so equality, hashing and the measure are O(1) afterwards. Haar
+    The exponents a, b and the corner are computed eagerly, so equality, hashing
+    and the measure are O(1); the canonical matrix is built on first read. Haar
     measure is normalized so that self-dual lattices have measure 1, which
     makes measure(L) = |det B|_p = p**-(a + b) for any basis B of L.
     """
@@ -183,17 +180,28 @@ class Lattice:
         det = basis.det()
         if det == 0:
             raise ValueError("lattice basis must be nonsingular")
-        a, b, corner = _canonical_basis(basis, p, valuation(det, p))
+        slope = lambda first: basis.c / basis.a if first else basis.d / basis.b
+        v1, v2 = valuation(basis.a, p), valuation(basis.b, p)
+        a, b, corner = _canonical_basis(p, valuation(det, p), v1, v2, slope)
         self.p, self.a, self.b, self.corner, self.basis = p, a, b, corner, basis
-        self.canonical = Mat2._of(p_power(p, a), Fraction(0), corner, p_power(p, b))
 
     @classmethod
     def _from_canonical(cls, a: int, b: int, corner: Fraction, p: Prime) -> "Lattice":
         """Wrap [[p**a, 0], [corner, p**b]] at the Prime p; corner is already reduced."""
         lat = object.__new__(cls)
         lat.p, lat.a, lat.b, lat.corner = p, a, b, corner
-        lat.basis = lat.canonical = Mat2._of(p_power(p, a), Fraction(0), corner, p_power(p, b))
         return lat
+
+    def __getattr__(self, name: str) -> Mat2:
+        # reached only while a slot is empty: fill canonical, or a derived lattice's basis, once
+        if name == "canonical":
+            p, a, b = self.p, self.a, self.b
+            self.canonical = Mat2._of(p_power(p, a), Fraction(0), self.corner, p_power(p, b))
+        elif name == "basis":
+            self.basis = self.canonical
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return getattr(self, name)
 
     @property
     def measure(self) -> Fraction:
@@ -247,12 +255,13 @@ class Lattice:
         self._require_same_prime(other)
         one, two = (self, other) if self.b >= other.b else (other, self)
         p, a = self.p, max(one.a, two.a, two.b - one._slope_valuation(two))
-        corner = one.canonical.d * fractional_part(one.corner * p_power(p, a - one.a - one.b), p)
+        corner = p_power(p, one.b) * fractional_part(one.corner * p_power(p, a - one.a - one.b), p)
         return Lattice._from_canonical(a, one.b, corner, p)
 
     def _slope_valuation(self, other: "Lattice") -> int | float:
         """v(sigma - sigma') of the slopes sigma = c / p**a; INFINITY when they agree."""
-        return valuation(self.corner / self.canonical.a - other.corner / other.canonical.a, self.p)
+        p = self.p
+        return valuation(self.corner / p_power(p, self.a) - other.corner / p_power(p, other.a), p)
 
     def scaled(self, n: int) -> "Lattice":
         """p**n * L. Scaling multiplies the (2-dimensional) measure by p**(-2n)."""
@@ -260,13 +269,20 @@ class Lattice:
         return Lattice._from_canonical(self.a + n, self.b + n, self.corner * p_power(p, n), p)
 
     def transformed(self, g: Mat2) -> "Lattice":
-        """Image g * L under a nonsingular rational matrix: v_p(det(g B)) = v_p(det g) + a + b."""
+        """Image g * L under a nonsingular rational matrix."""
         det = g.det()
         if det == 0:
             raise ValueError("transform must be nonsingular")
-        p = self.p
-        s = valuation(det, p) + self.a + self.b
-        return Lattice._from_canonical(*_canonical_basis(g @ self.canonical, p, s), p)
+        return self._image(g, valuation(det, self.p))
+
+    def _image(self, g: Mat2, s: int) -> "Lattice":
+        """g * L for v_p(det g) = s: g * [[p**a, 0], [c, p**b]] has first row (x1, g.b * p**b),
+        v_p(det) = s + a + b, and slope (g.c * p**a + g.d * c) / x1 or g.d / g.b."""
+        p, c, pa = self.p, self.corner, p_power(self.p, self.a)
+        x1 = g.a * pa + g.b * c
+        slope = lambda first: (g.c * pa + g.d * c) / x1 if first else g.d / g.b
+        v1, v2 = valuation(x1, p), valuation(g.b, p) + self.b
+        return Lattice._from_canonical(*_canonical_basis(p, s + self.a + self.b, v1, v2, slope), p)
 
     def symplectic_basis(self) -> tuple[Vec2, Vec2]:
         """Generators u, v of a self-dual lattice with sympl(u, v) = 1 exactly."""

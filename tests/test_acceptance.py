@@ -40,6 +40,7 @@ import conftest
 from conftest import PRIMES, rand_lattice, rand_symplectic, rand_valid_channel
 
 from test_cli import GOLDEN_CASES
+from test_lattice import generic_reduction
 
 
 @contextlib.contextmanager
@@ -104,12 +105,14 @@ def test_criterion_3_gain_witness(channel_corpus):
             gain = chan.entropy_gain()
             assert gain == LogLedger.single(p, -int(valuation(chan.transform.det(), p)))
             n0 = chan.witness_threshold()
+            inverse = chan.transform.inverse()
             for n in (n0, n0 + 1, n0 + 2):
                 assert chan.entropy_gain_witness(n) == gain
                 inp = GaussianState(chan.noise.scaled(n))
                 out = chan.apply(inp)
-                pulled = inp.lattice.transformed(chan.transform.inverse())
-                assert out.lattice == pulled
+                # K^-1 p^n L reduced from its raw generators, independent of apply's closed form
+                pulled = generic_reduction(list((inverse @ inp.lattice.basis).columns()), p)
+                assert out.lattice.canonical == pulled
 
 
 def test_criterion_4_gain_identity_norm_consistency(channel_corpus):

@@ -372,9 +372,10 @@ class TestGainLaw:
         k, noise = Mat2.parse("1,1;0,3"), Lattice(Mat2.parse("3,0;1,9"), 3)
         honest = noise.transformed(k.inverse())
         assert mutate(honest) != honest
-        transformed = Lattice.transformed
-        monkeypatch.setattr(Lattice, "transformed", lambda lat, g: mutate(transformed(lat, g)))
+        image = Lattice._image  # the channel reduces P = K^-1 L through it, knowing v(det K^-1)
+        monkeypatch.setattr(Lattice, "_image", lambda lat, g, s: mutate(image(lat, g, s)))
         chan = GaussianChannel(k, noise)
+        assert chan._pulled == mutate(honest)
         with pytest.raises(InvariantViolation):
             chan.identity_output_norm()
 
@@ -394,23 +395,47 @@ class TestDerivedOnce:
         rng = random.Random(43)
         channels = [rand_valid_channel(rng, p) for p in PRIMES for _ in range(4)]
         calls = []
-        reduce = qpadic.lattice._canonical_basis
+        image = Lattice._image
 
-        def counting(m, p, s):
-            calls.append(p)
-            return reduce(m, p, s)
+        def counting(lat, g, s):
+            calls.append(s)
+            return image(lat, g, s)
 
-        monkeypatch.setattr(qpadic.lattice, "_canonical_basis", counting)
+        monkeypatch.setattr(Lattice, "_image", counting)
         for built in channels:
             calls.clear()
-            chan = GaussianChannel(built.transform, built.noise)  # one, for K^-1 L
+            chan = GaussianChannel(built.transform, built.noise)  # one image, K^-1 L
             assert len(calls) == 1
             n0 = chan.witness_threshold()
             assert len(calls) == 1
-            chan.entropy_gain_witness(n0)  # apply alone
+            chan.entropy_gain_witness(n0)  # the apply alone
             assert len(calls) == 2
             chan.entropy_gain_witness(n0 + 1)
             assert len(calls) == 3
+            # every image is reduced with the channel's own v(det K^-1) = -v(det K)
+            assert set(calls) == {-valuation(built.transform.det(), built.p)}
+
+    def test_witness_sequence_builds_no_canonical_matrix(self, monkeypatch):
+        # the exact-witness sequence reads (a, b, c) only; the canonical Mat2 waits for a reader
+        p, k = 3, Mat2.parse("1,1;0,3")
+        built, lazy = [], Lattice.__getattr__
+
+        def counting(lat, name):
+            built.append(name)
+            return lazy(lat, name)
+
+        monkeypatch.setattr(Lattice, "__getattr__", counting)
+        noise = Lattice(Mat2.parse("9,3;1,2/3"), p)
+        chan = GaussianChannel(k, noise)
+        n0 = chan.witness_threshold()
+        gains = [chan.entropy_gain_witness(n) for n in range(n0, n0 + 3)]
+        out = chan.apply(GaussianState(Lattice(Mat2.parse("0,3;1,9"), p), Vec2(1, Fraction(1, 3))))
+        assert gains == [chan.entropy_gain()] * 3 and out.entropy() == LogLedger({3: 3})
+        assert built == []
+        # the spy sees a reader: the first read fills the slot, later reads never reach it
+        first = out.lattice.canonical
+        assert out.lattice.canonical is first and out.lattice.basis is first
+        assert built == ["canonical", "basis"]
 
     def test_threshold_computed_once(self, monkeypatch):
         chan = GaussianChannel(Mat2.diagonal(9, 1), standard_lattice(3))

@@ -521,7 +521,7 @@ class TestClosedForms:
 
 
 class TestReductionCount:
-    """Only raw generators are reduced: derived lattices are built canonical."""
+    """Only raw generators and images are reduced: other derived lattices are built canonical."""
 
     @pytest.mark.parametrize(
         "op, expected",
@@ -545,16 +545,79 @@ class TestReductionCount:
             "dual": a.dual,
             "scaled": lambda: a.scaled(2),
         }
-        calls = []
-        reduce = qpadic.lattice._canonical_basis
+        reductions, images = [], []
+        reduce, image = qpadic.lattice._canonical_basis, Lattice._image
 
-        def counting(m, p, s):
-            calls.append(p)
-            return reduce(m, p, s)
+        def counting_reduce(*args):
+            reductions.append(args)
+            return reduce(*args)
 
-        monkeypatch.setattr(qpadic.lattice, "_canonical_basis", counting)
+        def counting_image(lat, g, s):
+            images.append(g)
+            return image(lat, g, s)
+
+        monkeypatch.setattr(qpadic.lattice, "_canonical_basis", counting_reduce)
+        monkeypatch.setattr(Lattice, "_image", counting_image)
         ops[op]()
-        assert len(calls) == expected
+        assert len(reductions) == expected
+        # the image of a transform goes through the one image helper, which reduces once
+        assert len(images) == (op == "transformed")
+
+
+class TestImage:
+    """The closed-form image g * L, read off (a, b, c), against the generic reduction of g * B."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = random.Random(31)
+        cases = []
+        for p in (*PRIMES, 1000003):
+            for _ in range(200):
+                lat, g = rand_lattice(rng, p), rand_basis(rng, p)
+                if rng.random() < 0.1:  # force g.b = 0
+                    g = Mat2(g.a or 1, 0, g.c, g.d or 1)
+                cases.append((lat, g))
+        return cases
+
+    def test_image_matches_generic_route(self, pairs):
+        assert len(pairs) >= 1000
+        seen = set()
+        for lat, g in pairs:
+            p = lat.p
+            image = lat.transformed(g)
+            assert image.canonical == generic_reduction(list((g @ lat.basis).columns()), p)
+            k = g @ lat.canonical
+            v1, v2 = valuation(k.a, p), valuation(k.b, p)
+            if g.b == 0:
+                seen.add("g.b = 0")
+            elif v1 == v2:
+                seen.add("tied first row")
+            else:
+                seen.add(f"pivot in column {1 if v1 < v2 else 2}")
+            if lat.corner != 0 and valuation(lat.corner, p) < 0:
+                seen.add("negative corner in")
+            if image.corner != 0 and valuation(image.corner, p) < 0:
+                seen.add("negative corner out")
+            if any(q != 0 and valuation(q, p) < 0 for q in (g.a, g.b, g.c, g.d)):
+                seen.add("p in a denominator of g")
+            if p > 11 and image.corner != 0:
+                seen.add("nonzero corner at a large prime")
+        assert seen == {
+            "g.b = 0",
+            "tied first row",
+            "pivot in column 1",
+            "pivot in column 2",
+            "negative corner in",
+            "negative corner out",
+            "p in a denominator of g",
+            "nonzero corner at a large prime",
+        }
+
+    def test_pinned_image(self):
+        # K^-1 [[3, 0], [0, 1]] = [[3/5, -1], [0, 1]] pivots on column 2 (valuation 0 < 1):
+        # a = 0, b = v(3/5) - 0 = 1, corner 3 * {(1 / -1) / 3}_3 = 3 * 2/3 = 2
+        lat = Lattice(Mat2.parse("0,3;1,9"), 3)
+        assert str(lat.transformed(Mat2.parse("5,5;0,1").inverse()).canonical) == "1,0;2,3"
 
 
 class TestPrimeCarried:

@@ -432,6 +432,45 @@ class TestChannelScan:
         assert 0 < len(solves) < total
 
 
+class TestOutputLatticeMask:
+    """Each scan's numerical output mask is the window image of its exact output lattice.
+
+    channel_scan compares the finite output with out_lat only through the rank n = a + b;
+    this compares the whole subgroup, so a wrong corner or pivot in the exact image shows.
+    """
+
+    @staticmethod
+    def window_image(system, lat):
+        """The points z of (Z/p^N)^2 with p^-m z in lat, from (a, b, c) in integer arithmetic.
+
+        z1 = 0 mod p^(m+a) and z2 - sigma z1 = 0 mod p^(m+b), where sigma = c / p^a. With
+        c = num / p^k, sigma z1 = num * z1 / p^(a+k) is an integer wherever z1 = 0 mod p^(m+a).
+        """
+        p, d, m = system.p, system.dim, system.window
+        z1, z2 = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+        k = round(math.log(lat.corner.denominator, p))
+        assert p**k == lat.corner.denominator
+        e = lat.a + k
+        sigma_z1 = lat.corner.numerator * (z1 // p**e if e >= 0 else z1 * p**-e)
+        return (z1 % p ** (m + lat.a) == 0) & ((z2 - sigma_z1) % p ** (m + lat.b) == 0)
+
+    def test_masks_match_exact_output_lattices(self):
+        cases = corners = mismatches = 0
+        for p, n in ((3, 2), (5, 2), (3, 4)):
+            system = WeylSystem(p, n)
+            for k in battery_transforms(p):
+                for noise in NOISES:
+                    for case in channel_scan(system, Mat2(*k), noise):
+                        g = case.input_exponents
+                        lat = output_lattice(p, {"transform": k, "input": g, "noise": noise})
+                        mask = scan_mask(system, k, noise, g)
+                        mismatches += not np.array_equal(mask, self.window_image(system, lat))
+                        cases += 1
+                        corners += lat.corner != 0
+        assert (cases, mismatches) == (687, 0)
+        assert corners == 109  # the shears give nonzero corners; the diagonal grid gives none
+
+
 class TestBlockSpectrum:
     """The coset-block solve against one full eigvalsh of the same matrix."""
 
