@@ -21,11 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import attrgetter
 
-from .adelic import gain_exponent
 from .errors import InvariantViolation, NotAChannelError, NotAStateError
 from .ledger import LogLedger
 from .lattice import Lattice, Mat2, Vec2, sympl
-from .padic import PhaseQ, additive_character, padic_norm
+from .padic import PhaseQ, additive_character, padic_norm, valuation
 from .value import FrozenValue
 
 __all__ = [
@@ -118,8 +117,9 @@ class GaussianChannel:
                 f"{check.one_minus_det_norm} * {check.noise_measure} = {check.product} > 1"
             )
         self._transform, self._noise, self._adjugate = transform, noise, transform.adjugate()
-        self._inverse = self._adjugate.scaled(1 / transform.det())
-        self._gain = gain_exponent(transform, noise.p)  # = v_p(det K^-1), reused by every image
+        det = transform.det()
+        self._inverse = self._adjugate.scaled(1 / det)
+        self._gain = -valuation(det, noise.p)  # = v_p(det K^-1), reused by every image
         self._pulled = pulled = noise._image(self._inverse, self._gain)
         self._threshold = max(
             0,
@@ -160,9 +160,9 @@ class GaussianChannel:
     def witness_threshold(self) -> int:
         """Smallest n0 >= 0 such that the shrinking-noise witness works for all n >= n0.
 
-        Read off (a, b, c) of L and P = K^-1 L, with s = a + b and sigma = c / p**a:
-        p**n L lies in L iff n >= 0, and has measure <= 1 iff 2n >= -s. p**n P lies
-        in L iff its columns (0, p**(n + b_P)) and (p**(n + a_P), p**n c_P) do, i.e.
+        Read off (a, b, sigma) of L and P = K^-1 L, with s = a + b: p**n L lies in L
+        iff n >= 0, and has measure <= 1 iff 2n >= -s. p**n P lies in L iff its
+        columns (0, p**(n + b_P)) and p**(n + a_P) * (1, sigma_P) do, i.e.
         n >= b_L - b_P, n >= a_L - a_P and n >= b_L - a_P - v(sigma_P - sigma_L), the
         last dropping out when the slopes agree. The admissible channel maps the state
         gamma(p**n L) to gamma(p**n P), so P needs no measure bound of its own.

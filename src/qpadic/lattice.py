@@ -4,23 +4,19 @@ A lattice is the Z_p-span of the columns of a nonsingular rational 2x2
 matrix. Only p-adic valuations of the entries matter, so exact rational
 arithmetic captures everything.
 
-Every lattice has a unique lower-triangular canonical basis, its Hermite
-normal form over Z_p,
+Every lattice is L = {(x, y) : v(x) >= a, v(y - sigma * x) >= b} for integer exponents
+a, b and a slope sigma modulo p**(b - a) * Z_p. A lattice stores (p, a, b, sigma), with
+sigma reduced to p**(b - a) * {sigma * p**(a - b)}_p (its valuation can be negative), so
+two lattices are equal iff (a, b, sigma) match, and the measure is p**-(a + b). Its
+Hermite normal form over Z_p, [[p**a, 0], [sigma * p**a, p**b]], is built on first read.
 
-    [[p**a, 0   ],
-     [c,    p**b]]
-
-and a lattice stores the two integer pivot exponents a, b and the corner c,
-the canonical representative of its residue class modulo p**b * Z_p. The
-corner can have negative valuation when the class genuinely does (e.g.
-basis [[1,0],[1/2,1]] at p = 2 reduces to itself). Two lattices are equal
-iff (a, b, c) match, and the measure is p**-(a + b).
-
-Only a user basis and an image g * L are reduced, in closed form: pivot on the
-column (x, y) of least first valuation a, column 1 on a tie, so b = v_p(det) - a
-and c = p**b * {(y / x) * p**(a - b)}_p; an image forms only its first row and
-pivot slope. Duals, scalings, sums and intersections are built from (a, b, c), the
-canonical matrix on first read; the tests check each against a generic reduction.
+The dual is (-b, -a, sigma) and p**n * L is (a + n, b + n, sigma). One formula reduces
+an image g * L: its columns have first entries p**a * x1, x1 = g.a + g.b * sigma, and
+p**b * g.b; pivot on the one of least valuation a', column 1 on a tie, with slope
+(g.c + g.d * sigma) / x1 or g.d / g.b; then b' = v_p(det g) + a + b - a' and sigma' is
+that slope reduced modulo p**(b' - a'). A user basis B is the image of Z_p x Z_p =
+(0, 0, 0) under B. Sums and intersections are closed forms on (a, b, sigma); the tests
+check each against a generic reduction.
 """
 
 from __future__ import annotations
@@ -152,51 +148,55 @@ def sympl(u: Vec2, v: Vec2) -> Fraction:
 STANDARD_J = Mat2(0, 1, -1, 0)
 
 
-def _canonical_basis(p: Prime, s: int, v1, v2, slope) -> tuple[int, int, Fraction]:
-    """(a, b, c) of the span of columns (x1, y1), (x2, y2): s = v_p(det), v1 = v(x1), v2 = v(x2).
+def _reduced(p: Prime, a: int, b: int, slope: Fraction) -> tuple[int, int, Fraction]:
+    """(a, b, sigma) with the slope taken to its representative modulo p**(b - a) * Z_p."""
+    m = p_power(p, b - a)
+    return a, b, m * fractional_part(slope / m, p)
 
-    Pivot on the column (x, y) of least first valuation a, column 1 on a tie; slope(first) is
-    its y / x. Clearing the other first entry leaves valuation s - a below, so b = s - a.
-    """
+
+def _image_of(
+    p: Prime, a: int, b: int, slope: Fraction | int, g: Mat2, s: int
+) -> tuple[int, int, Fraction]:
+    """(a', b', sigma') of g * L for L = (a, b, sigma) and s = v_p(det g): g maps the canonical
+    columns to p**a * (x1, g.c + g.d * sigma) and p**b * (g.b, g.d); b' = s + a + b - a'."""
+    x1 = g.a + g.b * slope
+    v1, v2 = a + valuation(x1, p), b + valuation(g.b, p)
     first = v1 <= v2
-    a = v1 if first else v2
-    b = s - a
-    return a, b, p_power(p, b) * fractional_part(slope(first) * p_power(p, a - b), p)
+    pivot = v1 if first else v2
+    return _reduced(p, pivot, s + a + b - pivot, (g.c + g.d * slope) / x1 if first else g.d / g.b)
 
 
 class Lattice:
     """Z_p-span of the columns of a nonsingular rational basis matrix.
 
-    The exponents a, b and the corner are computed eagerly, so equality, hashing
+    The exponents a, b and the slope are computed eagerly, so equality, hashing
     and the measure are O(1); the canonical matrix is built on first read. Haar
     measure is normalized so that self-dual lattices have measure 1, which
     makes measure(L) = |det B|_p = p**-(a + b) for any basis B of L.
     """
 
-    __slots__ = ("p", "a", "b", "corner", "basis", "canonical")
+    __slots__ = ("p", "a", "b", "slope", "basis", "canonical")
 
     def __init__(self, basis: Mat2, p: int):
         p = require_prime(p)
         det = basis.det()
         if det == 0:
             raise ValueError("lattice basis must be nonsingular")
-        slope = lambda first: basis.c / basis.a if first else basis.d / basis.b
-        v1, v2 = valuation(basis.a, p), valuation(basis.b, p)
-        a, b, corner = _canonical_basis(p, valuation(det, p), v1, v2, slope)
-        self.p, self.a, self.b, self.corner, self.basis = p, a, b, corner, basis
+        self.p, self.basis = p, basis
+        self.a, self.b, self.slope = _image_of(p, 0, 0, 0, basis, valuation(det, p))
 
     @classmethod
-    def _from_canonical(cls, a: int, b: int, corner: Fraction, p: Prime) -> "Lattice":
-        """Wrap [[p**a, 0], [corner, p**b]] at the Prime p; corner is already reduced."""
+    def _from_canonical(cls, a: int, b: int, slope: Fraction, p: Prime) -> "Lattice":
+        """Wrap (a, b, sigma) at the Prime p; sigma is already reduced modulo p**(b - a)."""
         lat = object.__new__(cls)
-        lat.p, lat.a, lat.b, lat.corner = p, a, b, corner
+        lat.p, lat.a, lat.b, lat.slope = p, a, b, slope
         return lat
 
     def __getattr__(self, name: str) -> Mat2:
         # reached only while a slot is empty: fill canonical, or a derived lattice's basis, once
         if name == "canonical":
-            p, a, b = self.p, self.a, self.b
-            self.canonical = Mat2._of(p_power(p, a), Fraction(0), self.corner, p_power(p, b))
+            pa = p_power(self.p, self.a)
+            self.canonical = Mat2._of(pa, Fraction(0), self.slope * pa, p_power(self.p, self.b))
         elif name == "basis":
             self.basis = self.canonical
         else:
@@ -211,10 +211,10 @@ class Lattice:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lattice):
             return NotImplemented
-        return (self.p, self.a, self.b, self.corner) == (other.p, other.a, other.b, other.corner)
+        return (self.p, self.a, self.b, self.slope) == (other.p, other.a, other.b, other.slope)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.a, self.b, self.corner))
+        return hash((self.p, self.a, self.b, self.slope))
 
     def __repr__(self) -> str:
         return f"Lattice(p={self.p}, canonical='{self.canonical}')"
@@ -225,8 +225,8 @@ class Lattice:
 
     def dual(self) -> "Lattice":
         """Symplectic dual: all u with sympl(u, v) in Z_p for every v in L."""
-        # J * k**-T reduced: exponents -b, -a, and the residue corner / p**b is unchanged
-        return Lattice._from_canonical(-self.b, -self.a, self.corner * self.measure, self.p)
+        # J * k**-T reduced: exponents -b, -a, the same slope and the same modulus p**(b - a)
+        return Lattice._from_canonical(-self.b, -self.a, self.slope, self.p)
 
     def is_self_dual(self) -> bool:
         """True iff L equals its dual; equivalently measure(L) = 1."""
@@ -247,26 +247,23 @@ class Lattice:
         return (self.dual() & other.dual()).dual()
 
     def __and__(self, other: "Lattice") -> "Lattice":
-        """Intersection, read off the exponents and corners.
+        """Intersection, read off the exponents and slopes.
 
-        With sigma = c / p**a, L = {(x, y) : v(x) >= a, v(y - sigma * x) >= b}, so for
-        b1 >= b2, L1 & L2 has b = b1 and a = max(a1, a2, b2 - v(sigma1 - sigma2)).
+        L = {(x, y) : v(x) >= a, v(y - sigma * x) >= b}, so for b1 >= b2, L1 & L2 has
+        b = b1, a = max(a1, a2, b2 - v(sigma1 - sigma2)) and slope sigma1.
         """
         self._require_same_prime(other)
         one, two = (self, other) if self.b >= other.b else (other, self)
-        p, a = self.p, max(one.a, two.a, two.b - one._slope_valuation(two))
-        corner = p_power(p, one.b) * fractional_part(one.corner * p_power(p, a - one.a - one.b), p)
-        return Lattice._from_canonical(a, one.b, corner, p)
+        a = max(one.a, two.a, two.b - one._slope_valuation(two))
+        return Lattice._from_canonical(*_reduced(self.p, a, one.b, one.slope), self.p)
 
     def _slope_valuation(self, other: "Lattice") -> int | float:
-        """v(sigma - sigma') of the slopes sigma = c / p**a; INFINITY when they agree."""
-        p = self.p
-        return valuation(self.corner / p_power(p, self.a) - other.corner / p_power(p, other.a), p)
+        """v(sigma - sigma') of the two slopes; INFINITY when they agree."""
+        return valuation(self.slope - other.slope, self.p)
 
     def scaled(self, n: int) -> "Lattice":
         """p**n * L. Scaling multiplies the (2-dimensional) measure by p**(-2n)."""
-        p = self.p
-        return Lattice._from_canonical(self.a + n, self.b + n, self.corner * p_power(p, n), p)
+        return Lattice._from_canonical(self.a + n, self.b + n, self.slope, self.p)
 
     def transformed(self, g: Mat2) -> "Lattice":
         """Image g * L under a nonsingular rational matrix."""
@@ -276,13 +273,8 @@ class Lattice:
         return self._image(g, valuation(det, self.p))
 
     def _image(self, g: Mat2, s: int) -> "Lattice":
-        """g * L for v_p(det g) = s: g * [[p**a, 0], [c, p**b]] has first row (x1, g.b * p**b),
-        v_p(det) = s + a + b, and slope (g.c * p**a + g.d * c) / x1 or g.d / g.b."""
-        p, c, pa = self.p, self.corner, p_power(self.p, self.a)
-        x1 = g.a * pa + g.b * c
-        slope = lambda first: (g.c * pa + g.d * c) / x1 if first else g.d / g.b
-        v1, v2 = valuation(x1, p), valuation(g.b, p) + self.b
-        return Lattice._from_canonical(*_canonical_basis(p, s + self.a + self.b, v1, v2, slope), p)
+        """g * L for v_p(det g) = s, by the one image formula."""
+        return Lattice._from_canonical(*_image_of(self.p, self.a, self.b, self.slope, g, s), self.p)
 
     def symplectic_basis(self) -> tuple[Vec2, Vec2]:
         """Generators u, v of a self-dual lattice with sympl(u, v) = 1 exactly."""

@@ -312,7 +312,7 @@ def _state_exponents(system: WeylSystem) -> list[tuple[int, int]]:
 def _fits_window(system: WeylSystem, lat: Lattice) -> bool:
     m = system.window
     pivots_fit = -m <= lat.a <= m and -m <= lat.b <= m
-    return pivots_fit and (lat.corner == 0 or valuation(lat.corner, lat.p) >= -m)
+    return pivots_fit and (lat.slope == 0 or valuation(lat.slope, lat.p) + lat.a >= -m)
 
 
 @dataclass
@@ -383,13 +383,14 @@ def channel_scan(
     d = system.dim
     m = system.window
     k_int = _int_matrix(transform)
-    if transform.det() == 0:
+    det = transform.det()
+    if det == 0:
         raise ValueError("transform must be nonsingular")
     a0, b0 = noise_exponents
     noise_lat = exponent_lattice(p, a0, b0)
     if not _fits_window(system, noise_lat):
         raise ValueError(f"noise exponents {noise_exponents} leave the window")
-    inverse = transform.inverse()
+    inverse, gain = transform.adjugate().scaled(1 / det), -valuation(det, p)  # gain = v_p(det K^-1)
 
     explicit = input_exponents is not None
     grid = list(input_exponents) if explicit else _state_exponents(system)
@@ -408,8 +409,7 @@ def channel_scan(
             if explicit:
                 raise ValueError(f"input exponents {(g, h)} are not an admissible state")
             continue
-        input_lat = exponent_lattice(p, g, h)
-        pulled = input_lat.transformed(inverse)
+        pulled = exponent_lattice(p, g, h)._image(inverse, gain)
         out_lat = pulled & noise_lat
         if not (_fits_window(system, pulled) and _fits_window(system, out_lat)):
             if explicit:

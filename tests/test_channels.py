@@ -48,7 +48,7 @@ def scanned_threshold(chan: GaussianChannel) -> int:
 def threshold_terms(chan: GaussianChannel) -> dict:
     """The lower bounds on n0 besides 0, from L and a freshly reduced P = K^-1 L."""
     noise, pulled = chan.noise, chan.noise.transformed(chan.transform.inverse())
-    gap = valuation(pulled.corner / pulled.canonical.a - noise.corner / noise.canonical.a, noise.p)
+    gap = valuation(pulled.canonical.c / pulled.canonical.a - noise.canonical.c / noise.canonical.a, noise.p)
     return {
         "a": noise.a - pulled.a,
         "b": noise.b - pulled.b,
@@ -362,9 +362,9 @@ class TestGainLaw:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda lat: Lattice._from_canonical(lat.a, lat.b, 2 * lat.corner, lat.p),
-            lambda lat: Lattice._from_canonical(lat.a, lat.b + 1, lat.corner, lat.p),
-            lambda lat: Lattice._from_canonical(lat.a, lat.b - 1, lat.corner, lat.p),
+            lambda lat: Lattice._from_canonical(lat.a, lat.b, 2 * lat.slope, lat.p),
+            lambda lat: Lattice._from_canonical(lat.a, lat.b + 1, lat.slope, lat.p),
+            lambda lat: Lattice._from_canonical(lat.a, lat.b - 1, lat.slope, lat.p),
         ],
         ids=["doubled-corner", "b-plus-one", "b-minus-one"],
     )
@@ -438,8 +438,7 @@ class TestDerivedOnce:
         assert built == ["canonical", "basis"]
 
     def test_threshold_computed_once(self, monkeypatch):
-        chan = GaussianChannel(Mat2.diagonal(9, 1), standard_lattice(3))
-        assert all(getattr(chan, slot) is not None for slot in GaussianChannel.__slots__)
+        k, noise = Mat2.diagonal(9, 1), standard_lattice(3)
         calls = []
 
         def counting(name, fn):
@@ -452,15 +451,20 @@ class TestDerivedOnce:
         for owner, name in (
             (Mat2, "inverse"),
             (Mat2, "__matmul__"),
-            (qpadic.channels, "gain_exponent"),
-            (qpadic.lattice, "_canonical_basis"),
+            (Mat2, "det"),
+            (qpadic.lattice, "_image_of"),
         ):
             monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        chan = GaussianChannel(k, noise)
+        assert all(getattr(chan, slot) is not None for slot in GaussianChannel.__slots__)
+        # det K once for admissibility and once for K^-1 and v(det K^-1); one reduction, K^-1 L
+        assert calls.count("det") <= 2 and calls.count("_image_of") == 1 and "inverse" not in calls
+        calls.clear()
         assert [chan.witness_threshold() for _ in range(3)] == [2, 2, 2]
         assert calls == []
         chan.entropy_gain_witness(2)
         chan.entropy_gain_witness(3)
-        assert "gain_exponent" not in calls and "inverse" not in calls
+        assert "det" not in calls and "inverse" not in calls
 
     def test_fields_refuse_assignment(self):
         chan = GaussianChannel(Mat2.diagonal(3, 1), standard_lattice(3))

@@ -492,8 +492,19 @@ class TestClosedForms:
         for lat in derived:
             k, p = lat.canonical, lat.p
             assert k.b == 0 and is_p_power(k.a, p) and is_p_power(k.d, p)
-            assert (lat.a, lat.b, lat.corner) == (valuation(k.a, p), valuation(k.d, p), k.c)
+            assert (lat.a, lat.b) == (valuation(k.a, p), valuation(k.d, p))
+            assert lat.slope * Fraction(p) ** lat.a == k.c
+            # the stored slope is the reduced representative: reducing it again is a no-op
+            m = Fraction(p) ** (lat.b - lat.a)
+            assert m * fractional_part(lat.slope / m, p) == lat.slope
             assert lat.measure == padic_norm(k.det(), p)
+        # v(sigma - sigma') against the slopes c / p**a read off the two canonical matrices
+        others = derived[1:] + derived[:1]
+        same_prime = [(x, y) for x, y in zip(derived, others) if x.p == y.p]
+        assert len(same_prime) >= 1000
+        for x, y in same_prime:
+            kx, ky = x.canonical, y.canonical
+            assert x._slope_valuation(y) == valuation(kx.c / kx.a - ky.c / ky.a, x.p)
 
     @pytest.mark.parametrize(
         "a, b, meet, join",
@@ -546,7 +557,7 @@ class TestReductionCount:
             "scaled": lambda: a.scaled(2),
         }
         reductions, images = [], []
-        reduce, image = qpadic.lattice._canonical_basis, Lattice._image
+        reduce, image = qpadic.lattice._image_of, Lattice._image
 
         def counting_reduce(*args):
             reductions.append(args)
@@ -556,7 +567,7 @@ class TestReductionCount:
             images.append(g)
             return image(lat, g, s)
 
-        monkeypatch.setattr(qpadic.lattice, "_canonical_basis", counting_reduce)
+        monkeypatch.setattr(qpadic.lattice, "_image_of", counting_reduce)
         monkeypatch.setattr(Lattice, "_image", counting_image)
         ops[op]()
         assert len(reductions) == expected
@@ -594,13 +605,13 @@ class TestImage:
                 seen.add("tied first row")
             else:
                 seen.add(f"pivot in column {1 if v1 < v2 else 2}")
-            if lat.corner != 0 and valuation(lat.corner, p) < 0:
+            if lat.canonical.c != 0 and valuation(lat.canonical.c, p) < 0:
                 seen.add("negative corner in")
-            if image.corner != 0 and valuation(image.corner, p) < 0:
+            if image.canonical.c != 0 and valuation(image.canonical.c, p) < 0:
                 seen.add("negative corner out")
             if any(q != 0 and valuation(q, p) < 0 for q in (g.a, g.b, g.c, g.d)):
                 seen.add("p in a denominator of g")
-            if p > 11 and image.corner != 0:
+            if p > 11 and image.canonical.c != 0:
                 seen.add("nonzero corner at a large prime")
         assert seen == {
             "g.b = 0",

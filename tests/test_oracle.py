@@ -443,15 +443,16 @@ class TestOutputLatticeMask:
     def window_image(system, lat):
         """The points z of (Z/p^N)^2 with p^-m z in lat, from (a, b, c) in integer arithmetic.
 
-        z1 = 0 mod p^(m+a) and z2 - sigma z1 = 0 mod p^(m+b), where sigma = c / p^a. With
-        c = num / p^k, sigma z1 = num * z1 / p^(a+k) is an integer wherever z1 = 0 mod p^(m+a).
+        z1 = 0 mod p^(m+a) and z2 - sigma z1 = 0 mod p^(m+b), where sigma = c / p^a is read off
+        the canonical matrix. With sigma = num / p^k, sigma z1 = num * z1 / p^k is an integer
+        wherever z1 = 0 mod p^(m+a).
         """
         p, d, m = system.p, system.dim, system.window
         z1, z2 = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-        k = round(math.log(lat.corner.denominator, p))
-        assert p**k == lat.corner.denominator
-        e = lat.a + k
-        sigma_z1 = lat.corner.numerator * (z1 // p**e if e >= 0 else z1 * p**-e)
+        sigma = lat.canonical.c / lat.canonical.a
+        k = round(math.log(sigma.denominator, p))
+        assert p**k == sigma.denominator and k <= m + lat.a
+        sigma_z1 = sigma.numerator * (z1 // p**k)
         return (z1 % p ** (m + lat.a) == 0) & ((z2 - sigma_z1) % p ** (m + lat.b) == 0)
 
     def test_masks_match_exact_output_lattices(self):
@@ -466,7 +467,7 @@ class TestOutputLatticeMask:
                         mask = scan_mask(system, k, noise, g)
                         mismatches += not np.array_equal(mask, self.window_image(system, lat))
                         cases += 1
-                        corners += lat.corner != 0
+                        corners += lat.canonical.c != 0
         assert (cases, mismatches) == (687, 0)
         assert corners == 109  # the shears give nonzero corners; the diagonal grid gives none
 
@@ -603,7 +604,7 @@ class TestBattery:
     def test_grid_has_shears_and_nonzero_corners(self, battery):
         transforms = {tuple(case["transform"]) for case in battery["channel_cases"]}
         assert transforms == set(battery_transforms(SYS.p))
-        corners = [output_lattice(SYS.p, case).corner for case in battery["channel_cases"]]
+        corners = [output_lattice(SYS.p, case).canonical.c for case in battery["channel_cases"]]
         assert any(corner != 0 for corner in corners)
 
     def test_max_cases_truncates(self, battery):
