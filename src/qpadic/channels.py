@@ -94,7 +94,11 @@ class ChannelValidity(FrozenValue):
 
 
 def channel_validity(transform: Mat2, noise: Lattice) -> ChannelValidity:
-    det = transform.det()
+    return _validity(transform.det(), noise)
+
+
+def _validity(det: Fraction, noise: Lattice) -> ChannelValidity:
+    """The admissibility pieces for a transform of determinant det."""
     if det == 0:
         raise ValueError("channel transform must be nonsingular")
     n1 = padic_norm(1 - det, noise.p)
@@ -110,14 +114,14 @@ class GaussianChannel:
     noise = property(attrgetter("_noise"), doc="The noise lattice (read-only).")
 
     def __init__(self, transform: Mat2, noise: Lattice):
-        check = channel_validity(transform, noise)
+        det = transform.det()
+        check = _validity(det, noise)
         if not check.ok:
             raise NotAChannelError(
                 "admissibility fails: |1 - det K|_p * measure = "
                 f"{check.one_minus_det_norm} * {check.noise_measure} = {check.product} > 1"
             )
         self._transform, self._noise, self._adjugate = transform, noise, transform.adjugate()
-        det = transform.det()
         self._inverse = self._adjugate.scaled(1 / det)
         self._gain = -valuation(det, noise.p)  # = v_p(det K^-1), reused by every image
         self._pulled = pulled = noise._image(self._inverse, self._gain)

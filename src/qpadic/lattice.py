@@ -1,8 +1,7 @@
 """Rank-two lattices over the p-adic integers in the standard symplectic plane.
 
-A lattice is the Z_p-span of the columns of a nonsingular rational 2x2
-matrix. Only p-adic valuations of the entries matter, so exact rational
-arithmetic captures everything.
+A lattice is the Z_p-span of the columns of a nonsingular rational 2x2 matrix. Only p-adic
+valuations of the entries matter, so exact rational arithmetic captures everything.
 
 Every lattice is L = {(x, y) : v(x) >= a, v(y - sigma * x) >= b} for integer exponents
 a, b and a slope sigma modulo p**(b - a) * Z_p. A lattice stores (p, a, b, sigma), with
@@ -14,9 +13,10 @@ The dual is (-b, -a, sigma) and p**n * L is (a + n, b + n, sigma). One formula r
 an image g * L: its columns have first entries p**a * x1, x1 = g.a + g.b * sigma, and
 p**b * g.b; pivot on the one of least valuation a', column 1 on a tie, with slope
 (g.c + g.d * sigma) / x1 or g.d / g.b; then b' = v_p(det g) + a + b - a' and sigma' is
-that slope reduced modulo p**(b' - a'). A user basis B is the image of Z_p x Z_p =
-(0, 0, 0) under B. Sums and intersections are closed forms on (a, b, sigma); the tests
-check each against a generic reduction.
+that slope reduced modulo p**(b' - a'). A user basis B is the image of (0, 0, 0) under B.
+All of it runs on unreduced int numerators and denominators, whose valuations padic reads
+directly, and the reduced slope is the one Fraction built. Sums and intersections are
+closed forms on (a, b, sigma); the tests check each against a generic reduction.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .padic import Prime, as_rational, fractional_part, p_power, require_prime, valuation
+from .padic import Prime, _ratio_valuation, _residue, as_rational, p_power, require_prime, valuation
 from .value import FrozenValue
 
 __all__ = [
@@ -148,10 +148,9 @@ def sympl(u: Vec2, v: Vec2) -> Fraction:
 STANDARD_J = Mat2(0, 1, -1, 0)
 
 
-def _reduced(p: Prime, a: int, b: int, slope: Fraction) -> tuple[int, int, Fraction]:
-    """(a, b, sigma) with the slope taken to its representative modulo p**(b - a) * Z_p."""
-    m = p_power(p, b - a)
-    return a, b, m * fractional_part(slope / m, p)
+def _reduced(p: Prime, a: int, b: int, num: int, den: int) -> tuple[int, int, Fraction]:
+    """(a, b, sigma) with the slope num / den taken to its representative modulo p**(b - a) * Z_p."""
+    return a, b, _residue(num, den, p, b - a)
 
 
 def _image_of(
@@ -159,20 +158,22 @@ def _image_of(
 ) -> tuple[int, int, Fraction]:
     """(a', b', sigma') of g * L for L = (a, b, sigma) and s = v_p(det g): g maps the canonical
     columns to p**a * (x1, g.c + g.d * sigma) and p**b * (g.b, g.d); b' = s + a + b - a'."""
-    x1 = g.a + g.b * slope
-    v1, v2 = a + valuation(x1, p), b + valuation(g.b, p)
-    first = v1 <= v2
-    pivot = v1 if first else v2
-    return _reduced(p, pivot, s + a + b - pivot, (g.c + g.d * slope) / x1 if first else g.d / g.b)
+    ns, ds = slope.as_integer_ratio()
+    (na, da), (nb, db) = g.a.as_integer_ratio(), g.b.as_integer_ratio()
+    (nc, dc), (nd, dd) = g.c.as_integer_ratio(), g.d.as_integer_ratio()
+    x1 = na * db * ds + nb * ns * da  # the numerator of x1 over da * db * ds
+    v1, v2 = a + _ratio_valuation(x1, da * db * ds, p), b + _ratio_valuation(nb, db, p)
+    if v1 <= v2:  # (g.c + g.d * sigma) / x1, the factor ds of both denominators cancelling
+        return _reduced(p, v1, s + a + b - v1, (nc * dd * ds + nd * ns * dc) * da * db, x1 * dc * dd)
+    return _reduced(p, v2, s + a + b - v2, nd * db, dd * nb)
 
 
 class Lattice:
     """Z_p-span of the columns of a nonsingular rational basis matrix.
 
-    The exponents a, b and the slope are computed eagerly, so equality, hashing
-    and the measure are O(1); the canonical matrix is built on first read. Haar
-    measure is normalized so that self-dual lattices have measure 1, which
-    makes measure(L) = |det B|_p = p**-(a + b) for any basis B of L.
+    The exponents a, b and the slope are computed eagerly, so equality, hashing and the measure
+    are O(1); the canonical matrix is built on first read. Haar measure is normalized so that
+    self-dual lattices have measure 1, which makes measure(L) = |det B|_p = p**-(a + b).
     """
 
     __slots__ = ("p", "a", "b", "slope", "basis", "canonical")
@@ -247,19 +248,17 @@ class Lattice:
         return (self.dual() & other.dual()).dual()
 
     def __and__(self, other: "Lattice") -> "Lattice":
-        """Intersection, read off the exponents and slopes.
-
-        L = {(x, y) : v(x) >= a, v(y - sigma * x) >= b}, so for b1 >= b2, L1 & L2 has
-        b = b1, a = max(a1, a2, b2 - v(sigma1 - sigma2)) and slope sigma1.
-        """
+        """Intersection, read off (a, b, sigma): L = {(x, y) : v(x) >= a, v(y - sigma * x) >= b},
+        so for b1 >= b2, L1 & L2 has b = b1, a = max(a1, a2, b2 - v(sigma1 - sigma2)), slope sigma1."""
         self._require_same_prime(other)
         one, two = (self, other) if self.b >= other.b else (other, self)
         a = max(one.a, two.a, two.b - one._slope_valuation(two))
-        return Lattice._from_canonical(*_reduced(self.p, a, one.b, one.slope), self.p)
+        return Lattice._from_canonical(*_reduced(self.p, a, one.b, *one.slope.as_integer_ratio()), self.p)
 
     def _slope_valuation(self, other: "Lattice") -> int | float:
-        """v(sigma - sigma') of the two slopes; INFINITY when they agree."""
-        return valuation(self.slope - other.slope, self.p)
+        """v(sigma - sigma') of the two slopes, read off int cross products; INFINITY when they agree."""
+        (nx, dx), (ny, dy) = self.slope.as_integer_ratio(), other.slope.as_integer_ratio()
+        return _ratio_valuation(nx * dy - ny * dx, dx * dy, self.p)
 
     def scaled(self, n: int) -> "Lattice":
         """p**n * L. Scaling multiplies the (2-dimensional) measure by p**(-2n)."""
@@ -286,10 +285,9 @@ class Lattice:
     def symplectic_diagonalization(self) -> tuple[Mat2, int]:
         """Write L = S * diag(p**n, 1) * L0 with det(S) = 1 exactly.
 
-        The exponent pair of the normal form is fixed as (n, 0) with
-        n = a + b, so p**(-n) = measure(L). The canonical basis already has
-        pairing sympl(u, v) = p**n on the nose, which makes S = [u / p**n | v]
-        unimodular in the determinant-one sense.
+        The exponent pair of the normal form is fixed as (n, 0) with n = a + b, so
+        p**(-n) = measure(L). The canonical basis has pairing sympl(u, v) = p**n on the
+        nose, which makes S = [u / p**n | v] unimodular in the determinant-one sense.
         """
         u, v = self.canonical.columns()
         n = self.a + self.b

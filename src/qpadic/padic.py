@@ -3,7 +3,10 @@
 Every scalar in this package is a `fractions.Fraction`, so the p-adic
 valuation, the norm |x|_p = p**(-v_p(x)), the p-adic fractional part and
 the additive character built from it are all computed exactly. Nothing in
-this module touches floating point.
+this module touches floating point. Underneath, two private int helpers do the
+work: `_split` takes n to (v_p(n), unit), so a valuation is read off any
+numerator and denominator, reduced or not, and `_residue` forms
+p**k * {num / (den * p**k)}_p from such a pair, building one Fraction.
 
 A prime is tested once, where it enters: `require_prime` runs `is_prime` to
 turn an int into a `Prime`, and hands a `Prime` back untested. Every function
@@ -122,23 +125,26 @@ def require_prime(p: int) -> Prime:
     return int.__new__(Prime, p)
 
 
-def _int_valuation(n: int, p: int) -> int:
-    # n != 0
-    n = abs(n)
+def _split(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p**v * u and u prime to p, for an int n != 0."""
     v = 0
     while n % p == 0:
-        v += 1
-        n //= p
-    return v
+        n, v, q, e = n // p, v + 1, p * p, 2  # then p**2, p**4, ... while each divides, so
+        while n % q == 0:  # each pass of the outer loop at least halves the valuation left
+            n, v, q, e = n // q, v + e, q * q, e + e
+    return v, n
+
+
+def _ratio_valuation(num: int, den: int, p: int) -> int | float:
+    """v_p(num / den) = v_p(num) - v_p(den) for ints, reduced or not; INFINITY when num = 0."""
+    return _split(num, p)[0] - _split(den, p)[0] if num else INFINITY
 
 
 def valuation(x: Fraction | int | str, p: int) -> int | float:
     """p-adic valuation of a rational. Zero maps to INFINITY."""
     p = require_prime(p)
     q = as_rational(x)
-    if q == 0:
-        return INFINITY
-    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
+    return _ratio_valuation(q.numerator, q.denominator, p)
 
 
 def p_power(p: int, e: int) -> Fraction:
@@ -152,6 +158,19 @@ def padic_norm(x: Fraction | int | str, p: int) -> Fraction:
     return Fraction(0) if v == INFINITY else p_power(p, -v)
 
 
+def _residue(num: int, den: int, p: int, k: int) -> Fraction:
+    """p**k * {num / (den * p**k)}_p for ints num and den != 0, with no gcd taken first: from
+    num = p**s * u and den = p**t * w, e = k + t - s and r = u * w^-1 mod p**e give r * p**(k - e)."""
+    s, u = _split(num, p) if num else (INFINITY, 0)  # zero has no digits after the point
+    t, w = _split(den, p)
+    e = k + t - s
+    if e <= 0:
+        return Fraction(0)
+    pe = p**e
+    r = u * pow(w, -1, pe) % pe
+    return Fraction(r * p ** (k - e)) if k >= e else Fraction(r, p ** (e - k))
+
+
 def fractional_part(x: Fraction | int | str, p: int) -> Fraction:
     """The p-adic fractional part of a rational.
 
@@ -161,14 +180,7 @@ def fractional_part(x: Fraction | int | str, p: int) -> Fraction:
     part m is inverted modulo p**k, giving r = (a * m^-1 mod p**k) / p**k.
     """
     q = as_rational(x)
-    v = valuation(q, p)
-    if v >= 0:
-        return Fraction(0)
-    pk = p**-v
-    # gcd(num, den) = 1 and v_p(q) = -k force den = p**k * m with m coprime to p
-    m = q.denominator // pk
-    r = (q.numerator * pow(m, -1, pk)) % pk
-    return Fraction(r, pk)
+    return _residue(q.numerator, q.denominator, require_prime(p), 0)
 
 
 class PhaseQ(FrozenValue):

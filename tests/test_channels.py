@@ -457,8 +457,8 @@ class TestDerivedOnce:
             monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         chan = GaussianChannel(k, noise)
         assert all(getattr(chan, slot) is not None for slot in GaussianChannel.__slots__)
-        # det K once for admissibility and once for K^-1 and v(det K^-1); one reduction, K^-1 L
-        assert calls.count("det") <= 2 and calls.count("_image_of") == 1 and "inverse" not in calls
+        # det K once, shared by admissibility, K^-1 and v(det K^-1); one reduction, K^-1 L
+        assert calls.count("det") == 1 and calls.count("_image_of") == 1 and "inverse" not in calls
         calls.clear()
         assert [chan.witness_threshold() for _ in range(3)] == [2, 2, 2]
         assert calls == []

@@ -15,6 +15,8 @@ import pytest
 import qpadic.cli as cli
 import qpadic.oracle
 from qpadic.errors import InvariantViolation
+from qpadic.lattice import Mat2
+from qpadic.padic import valuation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -334,6 +336,20 @@ class TestBoundedTime:
         # [A : A & B] = [A + B : B], so measure(A & B) * measure(A + B) = measure(A) * measure(B)
         measures = [Fraction(json.loads(proc.stdout)["measure"]) for proc in (meet, join)]
         assert measures[0] * measures[1] == Fraction(1, big**2) * Fraction(1, big)
+
+    def test_worst_capped_literal_applies(self):
+        # K^-1 has 2,000-digit entries, and the unreduced int products of the image
+        # kernel grow to about three times the digits of its inputs
+        big = 2**3321
+        proc = self.bounded_cli(
+            "channel", "apply", "--p", "2", "--K", f"{big},1;1,{big}",
+            "--L", f"{big},{big};0,{big}", "--state", f"{big},0;{big},1",
+        )
+        assert proc.returncode == 0
+        # |det K|_2 = 1, so the entropy stays n * log 2 with 2**-n the measure of the output
+        out = json.loads(proc.stdout)
+        basis = Mat2.parse(out["basis"])
+        assert out["entropy"]["terms"] == {"2": valuation(basis.det(), 2)}
 
 
 class TestClosedPipe:

@@ -575,15 +575,29 @@ class TestReductionCount:
         assert len(images) == (op == "transformed")
 
 
+def fraction_reduced(p: int, a: int, b: int, slope: Fraction) -> Fraction:
+    """The slope's representative m * {slope / m}_p, m = p**(b - a), by the Fraction formula.
+
+    The reference for the int kernel: the fractional part comes from the reduced
+    Fraction, whose denominator is p**k times a part m coprime to p, with no padic helper.
+    """
+    q = slope / p_power(p, b - a)
+    pk = 1
+    while q.denominator % (pk * p) == 0:
+        pk *= p
+    return p_power(p, b - a) * Fraction(q.numerator * pow(q.denominator // pk, -1, pk) % pk, pk)
+
+
 class TestImage:
-    """The closed-form image g * L, read off (a, b, c), against the generic reduction of g * B."""
+    """The image g * L, reduced on int numerators and denominators, against the generic reduction
+    of g * B, and the slope reduction against the Fraction formula."""
 
     @pytest.fixture(scope="class")
     def pairs(self):
         rng = random.Random(31)
         cases = []
-        for p in (*PRIMES, 1000003):
-            for _ in range(200):
+        for p in (*PRIMES, 100003, 999983, 1000003):
+            for _ in range(250):
                 lat, g = rand_lattice(rng, p), rand_basis(rng, p)
                 if rng.random() < 0.1:  # force g.b = 0
                     g = Mat2(g.a or 1, 0, g.c, g.d or 1)
@@ -591,12 +605,16 @@ class TestImage:
         return cases
 
     def test_image_matches_generic_route(self, pairs):
-        assert len(pairs) >= 1000
+        assert len(pairs) >= 2000
         seen = set()
         for lat, g in pairs:
             p = lat.p
             image = lat.transformed(g)
-            assert image.canonical == generic_reduction(list((g @ lat.basis).columns()), p)
+            generic = generic_reduction(list((g @ lat.basis).columns()), p)
+            assert image.canonical == generic
+            # the kernel itself: (a', b', sigma') against the generic exponents and slope c / p**a'
+            kernel = qpadic.lattice._image_of(p, lat.a, lat.b, lat.slope, g, valuation(g.det(), p))
+            assert kernel == (valuation(generic.a, p), valuation(generic.d, p), generic.c / generic.a)
             k = g @ lat.canonical
             v1, v2 = valuation(k.a, p), valuation(k.b, p)
             if g.b == 0:
@@ -605,6 +623,10 @@ class TestImage:
                 seen.add("tied first row")
             else:
                 seen.add(f"pivot in column {1 if v1 < v2 else 2}")
+            if lat.b < lat.a:
+                seen.add("b < a")
+            if lat.slope != 0 and valuation(lat.slope, p) < 0:
+                seen.add("negative slope valuation in")
             if lat.canonical.c != 0 and valuation(lat.canonical.c, p) < 0:
                 seen.add("negative corner in")
             if image.canonical.c != 0 and valuation(image.canonical.c, p) < 0:
@@ -618,10 +640,39 @@ class TestImage:
             "tied first row",
             "pivot in column 1",
             "pivot in column 2",
+            "b < a",
+            "negative slope valuation in",
             "negative corner in",
             "negative corner out",
             "p in a denominator of g",
             "nonzero corner at a large prime",
+        }
+
+    def test_reduced_matches_fraction_formula(self):
+        # unreduced pairs: a common factor, p-powers on both sides and either sign of den
+        rng = random.Random(32)
+        seen = set()
+        for i in range(4000):
+            p = (*PRIMES, 100003, 999983, 1000003)[i % 8]
+            a, b = rng.randint(-6, 6), rng.randint(-6, 6)
+            common = rng.choice([1, p, p**3, 6 * p, rng.randint(1, 10**6)])
+            num = rng.choice([0, 1, -1]) if i % 50 == 0 else rng.randint(-(10**9), 10**9)
+            num *= p ** rng.randint(0, 4) * common
+            den = rng.choice([1, -1]) * p ** rng.randint(0, 8) * rng.randint(1, 10**6) * common
+            sigma = qpadic.lattice._reduced(Prime(p), a, b, num, den)
+            assert sigma == (a, b, fraction_reduced(p, a, b, Fraction(num, den)))
+            if sigma[2] != 0:
+                v = valuation(sigma[2], p)
+                seen.add("negative valuation out" if v < 0 else "integral out")
+                if valuation(Fraction(num, den), p) < b - a - 1:
+                    seen.add("two or more digits")
+            if den < 0 and den % p == 0 and sigma[2] != 0:
+                seen.add("negative den with p in it")
+        assert seen == {
+            "negative valuation out",
+            "integral out",
+            "two or more digits",
+            "negative den with p in it",
         }
 
     def test_pinned_image(self):
