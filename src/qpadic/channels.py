@@ -53,9 +53,10 @@ class GaussianState:
         return self.lattice.p
 
     def __eq__(self, other: object) -> bool:
+        """Equal lattices and shifts equal modulo L^perp = L.dual(), on which chi is trivial."""
         if not isinstance(other, GaussianState):
             return NotImplemented
-        return self.lattice == other.lattice and self.shift == other.shift
+        return self.lattice == other.lattice and self.lattice.dual().contains(self.shift - other.shift)
 
     def __repr__(self) -> str:
         return f"GaussianState(p={self.p}, lattice='{self.lattice.canonical}', shift='{self.shift}')"
@@ -155,7 +156,8 @@ class GaussianChannel:
             raise InvariantViolation(
                 f"admissible channel produced output measure {out.measure} > 1"
             )
-        return GaussianState(out, self._adjugate @ state.shift)
+        shift = state.shift  # adj(K) fixes the zero shift, which every witness input has
+        return GaussianState(out, shift if shift.is_zero() else self._adjugate @ shift)
 
     def entropy_gain(self) -> LogLedger:
         """Exact entropy gain: log of |det K|_p, i.e. exponent -v_p(det K)."""

@@ -16,7 +16,9 @@ p**b * g.b; pivot on the one of least valuation a', column 1 on a tie, with slop
 that slope reduced modulo p**(b' - a'). A user basis B is the image of (0, 0, 0) under B.
 All of it runs on unreduced int numerators and denominators, whose valuations padic reads
 directly, and the reduced slope is the one Fraction built. Sums and intersections are
-closed forms on (a, b, sigma); the tests check each against a generic reduction.
+closed forms on (a, b, sigma); the tests check each against a generic reduction. An
+intersection that keeps a = a1 keeps sigma1 as stored, since it is already reduced modulo
+p**(b1 - a1); only a larger a re-reduces it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class Vec2(FrozenValue):
 
     @classmethod
     def zero(cls) -> "Vec2":
-        return cls(0, 0)
+        return _ZERO
 
     @classmethod
     def parse(cls, text: str) -> "Vec2":
@@ -75,6 +77,10 @@ class Vec2(FrozenValue):
 
     def __str__(self) -> str:
         return f"{self.x},{self.y}"
+
+
+#: The one zero vector; a FrozenValue is immutable, so every zero shift can share it.
+_ZERO = Vec2._of(Fraction(0), Fraction(0))
 
 
 class Mat2(FrozenValue):
@@ -105,7 +111,10 @@ class Mat2(FrozenValue):
         return cls(*rows[0], *rows[1])
 
     def det(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
+        """a * d - b * c over the common denominator of the four entries, as one Fraction."""
+        (na, da), (nb, db) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
+        (nc, dc), (nd, dd) = self.c.as_integer_ratio(), self.d.as_integer_ratio()
+        return Fraction(na * nd * db * dc - nb * nc * da * dd, da * db * dc * dd)
 
     def adjugate(self) -> "Mat2":
         return Mat2._of(self.d, -self.b, -self.c, self.a)
@@ -253,6 +262,8 @@ class Lattice:
         self._require_same_prime(other)
         one, two = (self, other) if self.b >= other.b else (other, self)
         a = max(one.a, two.a, two.b - one._slope_valuation(two))
+        if a == one.a:  # sigma1 is already reduced modulo p**(b1 - a1)
+            return Lattice._from_canonical(a, one.b, one.slope, self.p)
         return Lattice._from_canonical(*_reduced(self.p, a, one.b, *one.slope.as_integer_ratio()), self.p)
 
     def _slope_valuation(self, other: "Lattice") -> int | float:

@@ -136,6 +136,56 @@ class TestCharacteristicFunction:
             assert s.char(u + v) == s.char(u) * s.char(v)
 
 
+def dual_point(rng: random.Random, lat: Lattice) -> Vec2:
+    """A point of L^perp = L.dual(): an integer combination of the dual's canonical columns."""
+    u, v = lat.dual().canonical.columns()
+    return u.scaled(rng.randint(-9, 9)) + v.scaled(rng.randint(-9, 9))
+
+
+class TestStateEquality:
+    """chi is trivial on Z_p, so gamma(L, alpha) depends on alpha only modulo L^perp."""
+
+    def test_pinned_classes(self):
+        vacuum = GaussianState(standard_lattice(3))
+        assert vacuum == GaussianState(standard_lattice(3), Vec2(1, 0))
+        assert vacuum == GaussianState(standard_lattice(3), Vec2(-2, 6))
+        assert vacuum != GaussianState(standard_lattice(3), Vec2(Fraction(1, 3), 0))
+        assert vacuum != GaussianState(diag_lattice(3, 3, 1))
+        # the stored and printed shift stays the raw one
+        assert str(GaussianState(standard_lattice(3), Vec2(1, 0)).shift) == "1,0"
+        with pytest.raises(TypeError):
+            hash(vacuum)
+
+    def test_equality_matches_characteristic_function(self):
+        # equal iff chi agrees on L's canonical columns, which span L: an independent route
+        rng = random.Random(44)
+        verdicts = []
+        for p in (2, 3, 5):
+            for _ in range(60):
+                state = rand_state(rng, p, shifted=True)
+                w, columns = dual_point(rng, state.lattice), state.lattice.canonical.columns()
+                for other in (w, w.scaled(Fraction(1, p)), rand_vector(rng, p)):
+                    twin = GaussianState(state.lattice, state.shift + other)
+                    same = all(state.char(z) == twin.char(z) for z in columns)
+                    assert (state == twin) == same
+                    verdicts.append(same)
+        assert 100 <= sum(verdicts) < len(verdicts) - 100
+
+    def test_apply_maps_a_class_to_a_class(self):
+        rng = random.Random(45)
+        moved = 0
+        for p in (2, 3, 5):
+            for _ in range(60):
+                chan = rand_valid_channel(rng, p)
+                state = rand_state(rng, p, shifted=True)
+                w = dual_point(rng, state.lattice)
+                twin = GaussianState(state.lattice, state.shift + w)
+                out, twin_out = chan.apply(state), chan.apply(twin)
+                assert state == twin and out == twin_out
+                moved += out.shift != twin_out.shift
+        assert moved >= 100
+
+
 class TestEntropyAndEquivalence:
     def test_pinned_entropies(self):
         assert GaussianState(diag_lattice(3, 9, 1)).entropy() == LogLedger({3: 2})
@@ -465,6 +515,27 @@ class TestDerivedOnce:
         chan.entropy_gain_witness(2)
         chan.entropy_gain_witness(3)
         assert "det" not in calls and "inverse" not in calls
+
+    def test_zero_shift_skips_adjugate(self, monkeypatch):
+        # adj(K) fixes the zero shift of every witness input; a nonzero shift takes one adj(K) @ alpha
+        rng = random.Random(46)
+        channels = [rand_valid_channel(rng, p) for p in PRIMES for _ in range(4)]
+        products, matmul = [], Mat2.__matmul__
+
+        def counting(m, other):
+            products.append(other)
+            return matmul(m, other)
+
+        monkeypatch.setattr(Mat2, "__matmul__", counting)
+        assert GaussianState(standard_lattice(3)).shift is Vec2.zero()  # one shared zero vector
+        for chan in channels:
+            n0 = chan.witness_threshold()
+            gains = [chan.entropy_gain_witness(n) for n in range(n0, n0 + 3)]
+            assert gains == [chan.entropy_gain()] * 3 and products == []
+            alpha = Vec2(Fraction(1, chan.p), 1)
+            out = chan.apply(GaussianState(chan.noise.scaled(n0), alpha))
+            assert products == [alpha] and out.shift == matmul(chan.transform.adjugate(), alpha)
+            products.clear()
 
     def test_fields_refuse_assignment(self):
         chan = GaussianChannel(Mat2.diagonal(3, 1), standard_lattice(3))

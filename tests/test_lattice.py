@@ -130,6 +130,28 @@ class TestVecMat:
         with pytest.raises(ValueError):
             Mat2(1, 2, 2, 4).inverse()
 
+    def test_det_matches_fraction_formula(self):
+        # det runs on the entries' int numerators and denominators; a * d - b * c is the reference
+        rng = random.Random(6)
+
+        def entry(p: int) -> Fraction:
+            kind = rng.randrange(4)
+            if kind == 0:
+                return Fraction(0)
+            # denominators share the factors 2, 3, 6 and 12 across entries, and carry p**k
+            den = rng.choice((1, 2, 3, 6, 12)) * p ** rng.randint(0, 3) if kind == 1 else 1
+            return Fraction(rng.randint(-50, 50), den) if kind != 3 else rand_rational(rng, p)
+
+        cases = [Mat2(*(entry(p) for _ in range(4))) for p in PRIMES for _ in range(400)]
+        big = 2**3321  # the largest power of 2 within the 1000-digit literal cap
+        cases += [Mat2.parse(f"{big},1;1,{big}"), Mat2.parse(f"{big},3/4;{big},5/6")]
+        cases += [Mat2(1, 2, 2, 4), Mat2(Fraction(1, 6), Fraction(1, 4), Fraction(2, 3), 1)]
+        assert len(cases) >= 2000 and sum(m.a * m.d == m.b * m.c for m in cases) >= 100
+        for m in cases:
+            det, ref = m.det(), m.a * m.d - m.b * m.c
+            assert type(det) is Fraction
+            assert (det.numerator, det.denominator) == (ref.numerator, ref.denominator)
+
     def test_matvec(self):
         m = Mat2(1, 2, 3, 4)
         assert m @ Vec2(5, 6) == Vec2(17, 39)
@@ -475,8 +497,12 @@ class TestClosedForms:
         # both orders of the b exponents, and ties, occur in the corpus
         orders = {(a.canonical.d > b.canonical.d) - (a.canonical.d < b.canonical.d) for a, b in pairs}
         assert orders == {-1, 0, 1}
+        branches = {True: 0, False: 0}  # a kept at a1, whose slope is stored as is, or raised
         for a, b in pairs:
-            assert (a & b).canonical == generic_intersection(a, b)
+            meet = a & b
+            assert meet.canonical == generic_intersection(a, b)
+            branches[meet.a == (a if a.b >= b.b else b).a] += 1
+        assert min(branches.values()) >= 100
 
     def test_sum_matches_generic_route(self, pairs):
         for a, b in pairs:
