@@ -128,3 +128,43 @@ def rand_state(rng: random.Random, p: int, shifted: bool = False) -> GaussianSta
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260816)
+
+
+def window_lattices(system) -> list[Lattice]:
+    """Every lattice of the oracle window at system, sorted by (a, b, slope).
+
+    The candidates are (a, b, j / p^(m+a)) for a, b in [-m, m] and 0 <= j < p^(m+b), each
+    reduced by the generic constructor, kept where p^m Z_p^2 <= L <= p^-m Z_p^2 holds.
+    """
+    from qpadic.oracle import _fits_window  # here, so the benchmark's generator imports skip numpy
+
+    p, m = system.p, system.window
+    found = set()
+    for a in range(-m, m + 1):
+        for b in range(-m, m + 1):
+            pa, pb = Fraction(p) ** a, Fraction(p) ** b
+            for j in range(p ** (m + b)):
+                lat = Lattice(Mat2(pa, 0, Fraction(j, p ** (m + a)) * pa, pb), p)
+                if _fits_window(system, lat):
+                    found.add(lat)
+    return sorted(found, key=lambda lat: (lat.a, lat.b, lat.slope))
+
+
+#: (lattices, sheared lattices) of the window at each battery system.
+WINDOW_LATTICE_COUNTS = {(3, 2): (23, 14), (5, 2): (45, 36), (7, 2): (75, 66), (3, 4): (237, 212)}
+
+
+@pytest.fixture
+def failing_last_scan(monkeypatch):
+    """Plant one disagreeing case at the end of the oracle battery's last channel scan."""
+    import qpadic.oracle
+
+    scan = qpadic.oracle.channel_scan
+
+    def planted(system, transform, noise, *args):
+        cases = scan(system, transform, noise, *args)
+        if transform == Mat2(3, 0, 3, 1) and noise == (1, -1):
+            cases[-1].agree = False
+        return cases
+
+    monkeypatch.setattr(qpadic.oracle, "channel_scan", planted)

@@ -26,18 +26,25 @@ from qpadic.lattice import Lattice, Mat2, standard_lattice
 from qpadic.ledger import LogLedger
 from qpadic.oracle import (
     WeylSystem,
+    _dual_deviation,
     ccr_scan,
     channel_scan,
     char_indicator_deviation,
     entropy_nats,
     exponent_lattice,
-    fourier_subgroup_deviation,
     gaussian_density,
 )
 from qpadic.padic import valuation
 
 import conftest
-from conftest import PRIMES, rand_lattice, rand_symplectic, rand_valid_channel
+from conftest import (
+    PRIMES,
+    WINDOW_LATTICE_COUNTS,
+    rand_lattice,
+    rand_symplectic,
+    rand_valid_channel,
+    window_lattices,
+)
 
 from test_cli import GOLDEN_CASES
 from test_lattice import generic_reduction
@@ -176,12 +183,13 @@ def test_criterion_7_oracle_state_spectra():
 
 
 def test_criterion_8_oracle_fourier_duality():
-    with criterion(8, "subgroup character sums match the dual indicator"):
-        for p, n in ((3, 2), (5, 2)):
+    with criterion(8, "window character sums match the mask of Lattice.dual"):
+        for (p, n), counts in WINDOW_LATTICE_COUNTS.items():
             system = WeylSystem(p, n)
-            for e1 in range(n + 1):
-                for e2 in range(n + 1):
-                    assert fourier_subgroup_deviation(system, e1, e2) < 1e-10
+            lattices = window_lattices(system)
+            assert (len(lattices), sum(lat.slope != 0 for lat in lattices)) == counts
+            for lat in lattices:
+                assert _dual_deviation(system, lat) < 1e-10, (p, n, lat.a, lat.b, lat.slope)
 
 
 def test_criterion_9_oracle_admissibility_boundary():

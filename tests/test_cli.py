@@ -197,6 +197,12 @@ class TestOracleCommand:
         assert payload["all_checks_pass"] is True
         assert len(payload["channel_cases"]) == 3
 
+    def test_max_cases_keeps_a_failure_past_the_cut(self, failing_last_scan):
+        code, out, err = run_cli(["oracle", "--p", "3", "--N", "2", "--max-cases", "0"])
+        payload = json.loads(out)
+        assert (code, err) == (2, "")
+        assert payload["all_checks_pass"] is False and payload["channel_cases"] == []
+
     def test_failed_battery_exits_two(self, monkeypatch):
         monkeypatch.setattr(
             qpadic.oracle, "run_battery", lambda *a, **k: {"all_checks_pass": False}

@@ -1,9 +1,10 @@
 """Finite Weyl-operator oracle: internal sanity plus agreement with the exact layer.
 
-The window convention throughout: a lattice diag(p^e1, p^e2) * L0 with
-|e_i| <= m = N/2 maps to the product subgroup p^(m+e1)Z x p^(m+e2)Z of
-(Z/p^N)^2, a phase-space point z maps to p^m * z mod p^N, and an exact
-shift alpha maps to the finite shift -p^m * alpha mod p^N.
+The window convention throughout: a lattice L with p^m Z_p^2 <= L <= p^-m Z_p^2,
+m = N/2, maps to its window image {p^m * z mod p^N : z in L} in (Z/p^N)^2 (for
+diag(p^e1, p^e2) * L0 the product subgroup p^(m+e1)Z x p^(m+e2)Z), a phase-space
+point z maps to p^m * z mod p^N, and an exact shift alpha maps to the finite
+shift -p^m * alpha mod p^N.
 """
 
 import math
@@ -22,8 +23,10 @@ from qpadic.padic import Prime
 from qpadic.oracle import (
     WeylSystem,
     _block_spectrum,
-    _indicator,
+    _dual_deviation,
+    _fits_window,
     _subgroup_density,
+    _window_mask,
     ccr_deviation,
     ccr_scan,
     channel_scan,
@@ -39,6 +42,8 @@ from qpadic.oracle import (
     weyl_operator,
 )
 
+from conftest import WINDOW_LATTICE_COUNTS, window_lattices
+
 SYS = WeylSystem(3, 2)
 BATTERY_SYSTEMS = ((3, 2), (5, 2), (7, 2), (3, 4))
 
@@ -52,8 +57,13 @@ def weyl_sum_density(system, mask):
     return rho / d
 
 
+def indicator(system, k):
+    """Boolean vector of the subgroup p^k Z / p^N Z of Z/p^N."""
+    return np.arange(system.dim) % (system.p**k) == 0
+
+
 def product_mask(system, k1, k2):
-    return np.outer(_indicator(system, k1), _indicator(system, k2))
+    return np.outer(indicator(system, k1), indicator(system, k2))
 
 
 def coset_count(h):
@@ -67,8 +77,8 @@ def scan_mask(system, transform, noise, inputs):
     ka, kb, kc, kd = transform
     z1, z2 = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return (
-        _indicator(system, m + inputs[0])[(ka * z1 + kb * z2) % d]
-        & _indicator(system, m + inputs[1])[(kc * z1 + kd * z2) % d]
+        indicator(system, m + inputs[0])[(ka * z1 + kb * z2) % d]
+        & indicator(system, m + inputs[1])[(kc * z1 + kd * z2) % d]
         & product_mask(system, m + noise[0], m + noise[1])
     )
 
@@ -295,6 +305,80 @@ class TestFourierDuality:
         # dual of p^2 Z x p^1 Z is p^(N-1) Z x p^(N-2) Z = p^1 Z x p^0 Z
         assert fourier_subgroup_deviation(SYS, 2, 1) < 1e-10
 
+    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
+    def test_every_window_lattice_against_exact_dual(self, p, n):
+        system = WeylSystem(p, n)
+        lattices = window_lattices(system)
+        assert (len(lattices), sum(lat.slope != 0 for lat in lattices)) == WINDOW_LATTICE_COUNTS[p, n]
+        for lat in lattices:
+            assert _dual_deviation(system, lat) < 1e-10, (lat.a, lat.b, lat.slope)
+
+
+class TestWindowMask:
+    """The one mask builder against Fraction membership, and its window check."""
+
+    def test_matches_fraction_membership(self):
+        lattices = sheared = mismatches = 0
+        for p, n in ((3, 2), (5, 2)):
+            system = WeylSystem(p, n)
+            d, scale = system.dim, p**system.window
+            for lat in window_lattices(system):
+                want = [
+                    [lat.contains(Vec2(Fraction(z1, scale), Fraction(z2, scale))) for z2 in range(d)]
+                    for z1 in range(d)
+                ]
+                mismatches += not np.array_equal(_window_mask(system, lat), np.array(want))
+                lattices += 1
+                sheared += lat.slope != 0
+        assert (lattices, sheared, mismatches) == (68, 50, 0)
+
+    def test_out_of_window_exponents_raise(self):
+        rho = gaussian_density(SYS, 0, 0)
+        for e1, e2 in ((2, 0), (0, 3), (-2, 2), (2, -1)):
+            with pytest.raises(ValueError, match="leaves the window"):
+                gaussian_density(SYS, e1, e2)
+            with pytest.raises(ValueError, match="leaves the window"):
+                char_indicator_deviation(SYS, rho, e1, e2)
+        for e1, e2 in ((0, 5), (3, 0), (-1, 1), (0, -1)):
+            with pytest.raises(ValueError, match="leaves the window"):
+                fourier_subgroup_deviation(SYS, e1, e2)
+        for noise in ((2, 0), (0, -2), (-2, 2)):
+            with pytest.raises(ValueError, match="leaves the window"):
+                channel_scan(SYS, Mat2.identity(), noise)
+
+    def test_window_is_two_sided(self):
+        # at m = 1, (0, 1, 1/3) lies in 3^-1 Z_3^2 but misses (3, 0): v(0 - 3/3) = 0 < b = 1
+        inside_only = Lattice._from_canonical(0, 1, Fraction(1, 3), Prime(3))
+        assert inside_only.contains(Vec2(0, 3)) and not inside_only.contains(Vec2(3, 0))
+        assert not _fits_window(SYS, inside_only)
+        with pytest.raises(ValueError, match="leaves the window"):
+            _window_mask(SYS, inside_only)
+        assert _fits_window(SYS, Lattice._from_canonical(-1, 1, Fraction(1), Prime(3)))
+
+
+class TestShiftClasses:
+    """gamma(L, alpha) depends on alpha only modulo L^perp, in the finite model too."""
+
+    def test_shifts_agree_exactly_modulo_the_dual(self):
+        tallies = {}
+        for p, n in ((3, 2), (5, 2)):
+            system = WeylSystem(p, n)
+            d = system.dim
+            shift = (1, p + 1)
+            agreed = differed = 0
+            for e1, e2 in qpadic.oracle._state_exponents(system):
+                rho = gaussian_density(system, e1, e2, shift=shift)
+                dual = _window_mask(system, exponent_lattice(p, e1, e2).dual())
+                for w1 in range(d):
+                    for w2 in range(d):
+                        moved = gaussian_density(system, e1, e2, shift=(shift[0] + w1, shift[1] + w2))
+                        same = np.abs(moved - rho).max() < 1e-12
+                        assert same == dual[w1, w2], (p, n, e1, e2, w1, w2)
+                        agreed += same
+                        differed += not same
+            tallies[p, n] = agreed, differed
+        assert tallies == {(3, 2): (162, 324), (5, 2): (950, 2800)}
+
 
 class TestDensityValidation:
     def test_rejects_non_square(self):
@@ -436,24 +520,9 @@ class TestOutputLatticeMask:
     """Each scan's numerical output mask is the window image of its exact output lattice.
 
     channel_scan compares the finite output with out_lat only through the rank n = a + b;
-    this compares the whole subgroup, so a wrong corner or pivot in the exact image shows.
+    this compares the whole subgroup with the window mask of out_lat, so a wrong corner or
+    pivot in the exact image shows.
     """
-
-    @staticmethod
-    def window_image(system, lat):
-        """The points z of (Z/p^N)^2 with p^-m z in lat, from (a, b, c) in integer arithmetic.
-
-        z1 = 0 mod p^(m+a) and z2 - sigma z1 = 0 mod p^(m+b), where sigma = c / p^a is read off
-        the canonical matrix. With sigma = num / p^k, sigma z1 = num * z1 / p^k is an integer
-        wherever z1 = 0 mod p^(m+a).
-        """
-        p, d, m = system.p, system.dim, system.window
-        z1, z2 = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-        sigma = lat.canonical.c / lat.canonical.a
-        k = round(math.log(sigma.denominator, p))
-        assert p**k == sigma.denominator and k <= m + lat.a
-        sigma_z1 = sigma.numerator * (z1 // p**k)
-        return (z1 % p ** (m + lat.a) == 0) & ((z2 - sigma_z1) % p ** (m + lat.b) == 0)
 
     def test_masks_match_exact_output_lattices(self):
         cases = corners = mismatches = 0
@@ -465,7 +534,7 @@ class TestOutputLatticeMask:
                         g = case.input_exponents
                         lat = output_lattice(p, {"transform": k, "input": g, "noise": noise})
                         mask = scan_mask(system, k, noise, g)
-                        mismatches += not np.array_equal(mask, self.window_image(system, lat))
+                        mismatches += not np.array_equal(mask, _window_mask(system, lat))
                         cases += 1
                         corners += lat.canonical.c != 0
         assert (cases, mismatches) == (687, 0)
@@ -610,3 +679,15 @@ class TestBattery:
     def test_max_cases_truncates(self, battery):
         report = run_battery(SYS, max_cases=5)
         assert report["channel_cases"] == battery["channel_cases"][:5]
+
+    def test_max_cases_keeps_the_verdict(self, failing_last_scan):
+        # a disagreeing case past the cut still fails the battery
+        full = run_battery(SYS)
+        last = full["channel_cases"][-1]
+        assert (last["transform"], last["noise"], last["agree"]) == ([3, 0, 3, 1], [1, -1], False)
+        assert sum(not case["agree"] for case in full["channel_cases"]) == 1
+        assert full["all_checks_pass"] is False
+        for limit in (5, 0):
+            report = run_battery(SYS, max_cases=limit)
+            assert report["all_checks_pass"] is False
+            assert report["channel_cases"] == full["channel_cases"][:limit]
