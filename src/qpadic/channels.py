@@ -126,13 +126,7 @@ class GaussianChannel:
         self._inverse = self._adjugate.scaled(1 / det)
         self._gain = -valuation(det, noise.p)  # = v_p(det K^-1), reused by every image
         self._pulled = pulled = noise._image(self._inverse, self._gain)
-        self._threshold = max(
-            0,
-            noise.a - pulled.a,
-            noise.b - pulled.b,
-            noise.b - pulled.a - pulled._slope_valuation(noise),
-            -((noise.a + noise.b) // 2),
-        )
+        self._threshold = max(0, pulled._gap(noise), -((noise.a + noise.b) // 2))
 
     @property
     def p(self) -> int:
@@ -166,11 +160,9 @@ class GaussianChannel:
     def witness_threshold(self) -> int:
         """Smallest n0 >= 0 such that the shrinking-noise witness works for all n >= n0.
 
-        Read off (a, b, sigma) of L and P = K^-1 L, with s = a + b: p**n L lies in L
-        iff n >= 0, and has measure <= 1 iff 2n >= -s. p**n P lies in L iff its
-        columns (0, p**(n + b_P)) and p**(n + a_P) * (1, sigma_P) do, i.e.
-        n >= b_L - b_P, n >= a_L - a_P and n >= b_L - a_P - v(sigma_P - sigma_L), the
-        last dropping out when the slopes agree. The admissible channel maps the state
+        For L and P = K^-1 L, with s = a + b of L: p**n L lies in L iff n >= 0, and
+        has measure <= 1 iff 2n >= -s. p**n P lies in L iff n >= P._gap(L), the one
+        containment rule on (a, b, sigma). The admissible channel maps the state
         gamma(p**n L) to gamma(p**n P), so P needs no measure bound of its own.
         """
         return self._threshold

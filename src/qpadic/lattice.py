@@ -15,10 +15,10 @@ p**b * g.b; pivot on the one of least valuation a', column 1 on a tie, with slop
 (g.c + g.d * sigma) / x1 or g.d / g.b; then b' = v_p(det g) + a + b - a' and sigma' is
 that slope reduced modulo p**(b' - a'). A user basis B is the image of (0, 0, 0) under B.
 All of it runs on unreduced int numerators and denominators, whose valuations padic reads
-directly, and the reduced slope is the one Fraction built. Sums and intersections are
-closed forms on (a, b, sigma); the tests check each against a generic reduction. An
-intersection that keeps a = a1 keeps sigma1 as stored, since it is already reduced modulo
-p**(b1 - a1); only a larger a re-reduces it.
+directly, and the reduced slope is the one Fraction built. Containment is one rule:
+L <= L' iff a >= a', b >= b' and a + v(sigma - sigma') >= b' (both canonical columns lie in
+L'); `_gap` gives the least n with p**n * L <= L', and `issubset`, `&` and the witness
+threshold read it. The tests check each closed form against a generic reduction.
 """
 
 from __future__ import annotations
@@ -249,27 +249,28 @@ class Lattice:
 
     def issubset(self, other: "Lattice") -> bool:
         self._require_same_prime(other)
-        u, v = self.canonical.columns()
-        return other.contains(u) and other.contains(v)
+        return self._gap(other) <= 0
+
+    def _gap(self, other: "Lattice") -> int | float:
+        """Least n with p**n * self <= other: max(a' - a, b' - b, b' - a - v(sigma - sigma')), the
+        slope valuation read off int cross products; the last term is -INFINITY when the slopes agree."""
+        (nx, dx), (ny, dy) = self.slope.as_integer_ratio(), other.slope.as_integer_ratio()
+        slope_term = other.b - self.a - _ratio_valuation(nx * dy - ny * dx, dx * dy, self.p)
+        return max(other.a - self.a, other.b - self.b, slope_term)
 
     def __add__(self, other: "Lattice") -> "Lattice":
         """Smallest lattice containing both summands, through duality: (L1* & L2*)*."""
         return (self.dual() & other.dual()).dual()
 
     def __and__(self, other: "Lattice") -> "Lattice":
-        """Intersection, read off (a, b, sigma): L = {(x, y) : v(x) >= a, v(y - sigma * x) >= b},
-        so for b1 >= b2, L1 & L2 has b = b1, a = max(a1, a2, b2 - v(sigma1 - sigma2)), slope sigma1."""
+        """Intersection, read off (a, b, sigma): for b1 >= b2, L1 & L2 keeps b1 and sigma1 and
+        raises a1 by n = L1._gap(L2) when n > 0; at n <= 0, L1 lies in L2 and is the meet."""
         self._require_same_prime(other)
         one, two = (self, other) if self.b >= other.b else (other, self)
-        a = max(one.a, two.a, two.b - one._slope_valuation(two))
-        if a == one.a:  # sigma1 is already reduced modulo p**(b1 - a1)
-            return Lattice._from_canonical(a, one.b, one.slope, self.p)
-        return Lattice._from_canonical(*_reduced(self.p, a, one.b, *one.slope.as_integer_ratio()), self.p)
-
-    def _slope_valuation(self, other: "Lattice") -> int | float:
-        """v(sigma - sigma') of the two slopes, read off int cross products; INFINITY when they agree."""
-        (nx, dx), (ny, dy) = self.slope.as_integer_ratio(), other.slope.as_integer_ratio()
-        return _ratio_valuation(nx * dy - ny * dx, dx * dy, self.p)
+        n = one._gap(two)
+        if n <= 0:  # sigma1 is already reduced modulo p**(b1 - a1)
+            return Lattice._from_canonical(one.a, one.b, one.slope, self.p)
+        return Lattice._from_canonical(*_reduced(self.p, one.a + n, one.b, *one.slope.as_integer_ratio()), self.p)
 
     def scaled(self, n: int) -> "Lattice":
         """p**n * L. Scaling multiplies the (2-dimensional) measure by p**(-2n)."""
@@ -287,22 +288,20 @@ class Lattice:
         return Lattice._from_canonical(*_image_of(self.p, self.a, self.b, self.slope, g, s), self.p)
 
     def symplectic_basis(self) -> tuple[Vec2, Vec2]:
-        """Generators u, v of a self-dual lattice with sympl(u, v) = 1 exactly."""
+        """Generators u, v of a self-dual lattice with sympl(u, v) = p**(a + b) = 1: its canonical columns."""
         if not self.is_self_dual():
             raise ValueError("symplectic basis requires a self-dual lattice")
-        u, v = self.canonical.columns()
-        return u, v.scaled(Fraction(1) / sympl(u, v))
+        return self.canonical.columns()
 
     def symplectic_diagonalization(self) -> tuple[Mat2, int]:
         """Write L = S * diag(p**n, 1) * L0 with det(S) = 1 exactly.
 
         The exponent pair of the normal form is fixed as (n, 0) with n = a + b, so
-        p**(-n) = measure(L). The canonical basis has pairing sympl(u, v) = p**n on the
-        nose, which makes S = [u / p**n | v] unimodular in the determinant-one sense.
+        p**(-n) = measure(L). S = [[p**-b, 0], [sigma * p**-b, p**b]] maps the columns
+        p**n * (1, 0) and (0, 1) to p**a * (1, sigma) and (0, p**b), and det(S) = 1.
         """
-        u, v = self.canonical.columns()
-        n = self.a + self.b
-        return Mat2.from_columns(u.scaled(p_power(self.p, -n)), v), n
+        inv_pb = p_power(self.p, -self.b)
+        return Mat2._of(inv_pb, Fraction(0), self.slope * inv_pb, p_power(self.p, self.b)), self.a + self.b
 
 
 def standard_lattice(p: int) -> Lattice:

@@ -105,15 +105,20 @@ class WeylSystem:
         return self.N // 2
 
 
-def weyl_operator(system: WeylSystem, a: int, b: int) -> np.ndarray:
-    """Matrix of W(a, b); coordinates are taken mod p**N."""
+def _weyl_entries(system: WeylSystem, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """W(a, b) is monomial: row x holds phases[x] in column cols[x] = x + a; coordinates mod p**N."""
     d = system.dim
     a %= d
     b %= d
     x = np.arange(d)
-    phases = np.exp(2j * np.pi * ((b * x + system.half * a * b) % d) / d)
-    out = np.zeros((d, d), dtype=complex)
-    out[x, (x + a) % d] = phases
+    return np.exp(2j * np.pi * ((b * x + system.half * a * b) % d) / d), (x + a) % d
+
+
+def weyl_operator(system: WeylSystem, a: int, b: int) -> np.ndarray:
+    """Matrix of W(a, b); coordinates are taken mod p**N."""
+    phases, cols = _weyl_entries(system, a, b)
+    out = np.zeros((system.dim, system.dim), dtype=complex)
+    out[np.arange(system.dim), cols] = phases
     return out
 
 
@@ -214,9 +219,9 @@ def gaussian_density(
             f"exponent sum {exponent1 + exponent2} < 0: subgroup is not isotropic"
         )
     rho = _subgroup_density(system, mask)
-    if shift != (0, 0):
-        w = weyl_operator(system, *shift)
-        rho = w @ rho @ w.conj().T
+    if shift != (0, 0):  # W rho W^H for monomial W is a gather of rho and two phase scalings
+        phases, cols = _weyl_entries(system, *shift)
+        rho = phases[:, None] * rho[np.ix_(cols, cols)] * phases.conj()
     return rho
 
 
@@ -231,8 +236,8 @@ def char_table(system: WeylSystem, rho: np.ndarray) -> np.ndarray:
     x = np.arange(d)
     # row a holds the diagonal rho[x + a, x]; a length-d DFT over x gives every b
     diagonals = rho[(x[:, None] + x) % d, x]
-    twist = np.exp(2j * np.pi * ((system.half * np.outer(x, x)) % d) / d)
-    return d * np.fft.ifft(diagonals, axis=1) * twist
+    roots = np.exp(2j * np.pi * x / d)
+    return d * np.fft.ifft(diagonals, axis=1) * roots[(system.half * np.outer(x, x)) % d]
 
 
 def char_indicator_deviation(
@@ -361,12 +366,7 @@ def _int_matrix(transform: Mat2) -> tuple[int, int, int, int]:
     return tuple(entries)
 
 
-def channel_scan(
-    system: WeylSystem,
-    transform: Mat2,
-    noise_exponents: tuple[int, int],
-    input_exponents: list[tuple[int, int]] | None = None,
-) -> list[ScanCase]:
+def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int, int]) -> list[ScanCase]:
     """Compare finite channel outputs against the exact admissibility data.
 
     For each Gaussian input the finite output density is built pointwise,
@@ -376,13 +376,11 @@ def channel_scan(
     spectrum must be flat at p^(-n) with multiplicity p^n. Inputs whose
     output masks coincide share one density and one eigensolve.
 
-    Inputs are centered Gaussians given by window exponent pairs with a
-    nonnegative sum. When input_exponents is None the full admissible
-    window grid is scanned, silently dropping inputs whose operative
-    lattices leave the window; explicitly requested inputs raise
-    ValueError instead, since a clipped window would not be faithful.
+    Inputs are the centered Gaussians of the window grid, window exponent
+    pairs with a nonnegative sum; an input whose pullback or output lattice
+    leaves the window is skipped, since a clipped window would not be faithful.
     """
-    p, d, m = system.p, system.dim, system.window
+    p, d = system.p, system.dim
     k_int = _int_matrix(transform)
     det = transform.det()
     if det == 0:
@@ -392,28 +390,17 @@ def channel_scan(
     noise_mask = _window_mask(system, noise_lat)  # ValueError when the noise leaves the window
     inverse, gain = transform.adjugate().scaled(1 / det), -valuation(det, p)  # gain = v_p(det K^-1)
 
-    explicit = input_exponents is not None
-    grid = list(input_exponents) if explicit else _state_exponents(system)
-
     z = np.arange(d)
     ka, kb, kc, kd = (v % d for v in k_int)
     kz = (ka * z[:, None] + kb * z) % d * d + (kc * z[:, None] + kd * z) % d  # flat index of K z
 
     cases: list[ScanCase] = []
     solved: dict[bytes, tuple[np.ndarray, float, float]] = {}  # output mask -> spectrum, min, trace
-    for g, h in grid:
-        if not (-m <= g <= m and -m <= h <= m) or g + h < 0:
-            if explicit:
-                raise ValueError(f"input exponents {(g, h)} are not an admissible state")
-            continue
+    for g, h in _state_exponents(system):
         in_lat = exponent_lattice(p, g, h)
         pulled = in_lat._image(inverse, gain)
         out_lat = pulled & noise_lat
         if not (_fits_window(system, pulled) and _fits_window(system, out_lat)):
-            if explicit:
-                raise ValueError(
-                    f"input {(g, h)} drives the scan outside the window margin"
-                )
             continue
 
         out_mask = _window_mask(system, in_lat).ravel()[kz] & noise_mask

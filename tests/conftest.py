@@ -63,6 +63,11 @@ def rand_lattice(rng: random.Random, p: int) -> Lattice:
     return Lattice(rand_basis(rng, p), p)
 
 
+def solved_subset(a: Lattice, b: Lattice) -> bool:
+    """a <= b by the linear solve: both canonical columns of a pass b.contains, no exponent read."""
+    return all(b.contains(col) for col in a.canonical.columns())
+
+
 def rand_unimodular(rng: random.Random, p: int) -> Mat2:
     """Integer matrix invertible over Z_p: built from shears, swaps, units.
 

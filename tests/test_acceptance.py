@@ -256,9 +256,7 @@ def test_criterion_10_cross_module_agreement():
         chan = GaussianChannel(Mat2.diagonal(3, 1), standard_lattice(3))
         n0 = chan.witness_threshold()
         witness_in = chan.noise.scaled(n0)
-        case = channel_scan(
-            system, chan.transform, (0, 0), input_exponents=[(n0, n0)]
-        )[0]
+        [case] = [c for c in channel_scan(system, chan.transform, (0, 0)) if c.input_exponents == (n0, n0)]
         out = chan.apply(GaussianState(witness_in))
         assert case.output_exponent == out.rank_exponent()
         assert abs(case.entropy_nats - out.entropy().value()) < 1e-9

@@ -21,6 +21,7 @@ from conftest import (
     rand_symplectic,
     rand_valid_channel,
     rand_vector,
+    solved_subset,
 )
 
 
@@ -36,8 +37,8 @@ def scanned_threshold(chan: GaussianChannel) -> int:
         ln = chan.noise.scaled(n)
         pulled = ln.transformed(inv)
         if (
-            ln.issubset(chan.noise)
-            and pulled.issubset(chan.noise)
+            solved_subset(ln, chan.noise)
+            and solved_subset(pulled, chan.noise)
             and ln.measure <= 1
             and pulled.measure <= 1
         ):

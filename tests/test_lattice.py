@@ -33,11 +33,12 @@ from conftest import (
     rand_symplectic,
     rand_unimodular,
     rand_vector,
+    solved_subset,
 )
 
 
 def mutually_included(a: Lattice, b: Lattice) -> bool:
-    return a.issubset(b) and b.issubset(a)
+    return solved_subset(a, b) and solved_subset(b, a)
 
 
 def generic_reduction(cols: list[Vec2], p: int) -> Mat2:
@@ -524,13 +525,32 @@ class TestClosedForms:
             m = Fraction(p) ** (lat.b - lat.a)
             assert m * fractional_part(lat.slope / m, p) == lat.slope
             assert lat.measure == padic_norm(k.det(), p)
-        # v(sigma - sigma') against the slopes c / p**a read off the two canonical matrices
+        # the containment gap against exponents and slopes c / p**a read off the two canonical matrices
         others = derived[1:] + derived[:1]
         same_prime = [(x, y) for x, y in zip(derived, others) if x.p == y.p]
         assert len(same_prime) >= 1000
         for x, y in same_prime:
-            kx, ky = x.canonical, y.canonical
-            assert x._slope_valuation(y) == valuation(kx.c / kx.a - ky.c / ky.a, x.p)
+            kx, ky, p = x.canonical, y.canonical, x.p
+            ax, bx, ay, by = (valuation(q, p) for q in (kx.a, kx.d, ky.a, ky.d))
+            corner = by - ax - valuation(kx.c / kx.a - ky.c / ky.a, p)
+            assert x._gap(y) == max(ay - ax, by - bx, corner)
+
+    def test_issubset_matches_linear_solve(self, pairs):
+        rng = random.Random(31)
+        cases = []
+        for a, b in pairs:
+            meet = a & b
+            cases += [(a, b), (a.scaled(rng.randint(-2, 2)), a), (a, a.dual()), (meet, b), (b, meet)]
+        assert len(cases) >= 1000
+        verdicts = {True: 0, False: 0}
+        seen = set()
+        for x, y in cases:
+            verdict = x.issubset(y)
+            assert verdict == solved_subset(x, y), (x, y)
+            verdicts[verdict] += 1
+            seen.add((verdict, x.slope == y.slope))
+        assert min(verdicts.values()) >= 100
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     @pytest.mark.parametrize(
         "a, b, meet, join",

@@ -355,6 +355,28 @@ class TestWindowMask:
             _window_mask(SYS, inside_only)
         assert _fits_window(SYS, Lattice._from_canonical(-1, 1, Fraction(1), Prime(3)))
 
+    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
+    def test_window_is_the_containment_rule(self, p, n):
+        # candidates (a, b, j / p^(m+a+1)) reach one step past the window on every side, so
+        # every bound fails for some candidate, each of the two slope bounds included
+        system = WeylSystem(p, n)
+        m = system.window
+        inner, outer = exponent_lattice(p, m, m), exponent_lattice(p, -m, -m)
+        fitting, slope_only = set(), {"inner": 0, "outer": 0}
+        for a in range(-m - 1, m + 2):
+            for b in range(-m - 1, m + 2):
+                pa, pb = Fraction(p) ** a, Fraction(p) ** b
+                for j in range(p ** (m + b + 1)):
+                    lat = Lattice(Mat2(pa, 0, Fraction(j) / Fraction(p) ** (m + a + 1) * pa, pb), p)
+                    in_inner, in_outer = inner.issubset(lat), lat.issubset(outer)
+                    assert _fits_window(system, lat) == (in_inner and in_outer), (lat.a, lat.b, lat.slope)
+                    if in_inner and in_outer:
+                        fitting.add(lat)
+                    elif -m <= lat.a <= m and -m <= lat.b <= m:
+                        slope_only["outer" if in_inner else "inner"] += 1
+        assert fitting == set(window_lattices(system))
+        assert min(slope_only.values()) > 0
+
 
 class TestShiftClasses:
     """gamma(L, alpha) depends on alpha only modulo L^perp, in the finite model too."""
@@ -378,6 +400,21 @@ class TestShiftClasses:
                         differed += not same
             tallies[p, n] = agreed, differed
         assert tallies == {(3, 2): (162, 324), (5, 2): (950, 2800)}
+
+    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
+    def test_gather_matches_dense_conjugation(self, p, n):
+        # the shifted density conjugates by the monomial W(shift) as a gather; the dense
+        # product W rho W^H is the reference, over the shifts above where d <= 25
+        system = WeylSystem(p, n)
+        d = system.dim
+        steps = range(d) if d <= 25 else range(0, d, 13)
+        shifts = [(1 + w1, p + 1 + w2) for w1 in steps for w2 in steps] + [(-2, 7), (d + 1, -1)]
+        for e1, e2 in qpadic.oracle._state_exponents(system):
+            rho = gaussian_density(system, e1, e2)
+            for shift in shifts:
+                w = weyl_operator(system, *shift)
+                dense = w @ rho @ w.conj().T
+                assert np.abs(gaussian_density(system, e1, e2, shift=shift) - dense).max() < 1e-12
 
 
 class TestDensityValidation:
@@ -458,13 +495,6 @@ class TestChannelScan:
     def test_trace_is_one(self):
         for case in channel_scan(SYS, Mat2.diagonal(2, 1), (0, 0)):
             assert abs(case.trace - 1) < 1e-12
-
-    def test_explicit_inputs_checked(self):
-        with pytest.raises(ValueError):
-            channel_scan(SYS, Mat2.identity(), (0, 0), input_exponents=[(2, 0)])
-        with pytest.raises(ValueError):
-            # pullback by diag(3,1) drags exponent -1 to -2, off the window
-            channel_scan(SYS, Mat2.diagonal(3, 1), (0, 0), input_exponents=[(-1, 1)])
 
     def test_noise_window_checked(self):
         with pytest.raises(ValueError):
