@@ -11,9 +11,10 @@ ledger -log(measure(L)) = n * log(p) when measure(L) = p**(-n).
 
 A Gaussian channel is a pair (K, L_noise) acting on characteristic
 functions by pi(z) |-> pi(K z) * [z in L_noise]. The pair is admissible
-iff |1 - det K|_p * measure(L_noise) <= 1, checked exactly. Applying the
-channel to a Gaussian state gives another Gaussian state with lattice
-K^-1 L_state intersect L_noise and shift adj(K) * alpha.
+iff |1 - det K|_p * measure(L_noise) <= 1, that is v_p(den - num) - v_p(den) + a + b >= 0
+for det K = num / den in ints. Applying the channel to a Gaussian state gives another
+Gaussian state with lattice K^-1 L_state intersect L_noise, formed as adj(K) * (p**g L_state)
+for g = -v_p(det K) since a p-adic unit fixes a Z_p-lattice, and shift adj(K) * alpha.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import attrgetter
 from .errors import InvariantViolation, NotAChannelError, NotAStateError
 from .ledger import LogLedger
 from .lattice import Lattice, Mat2, Vec2, sympl
-from .padic import PhaseQ, additive_character, padic_norm, valuation
+from .padic import PhaseQ, _ratio_valuation, additive_character, padic_norm
 from .value import FrozenValue
 
 __all__ = [
@@ -95,37 +96,37 @@ class ChannelValidity(FrozenValue):
 
 
 def channel_validity(transform: Mat2, noise: Lattice) -> ChannelValidity:
-    return _validity(transform.det(), noise)
+    num, den, ok = _admissibility(transform, noise)
+    n1 = padic_norm(Fraction(den - num, den), noise.p)
+    return ChannelValidity(n1, noise.measure, n1 * noise.measure, ok)
 
 
-def _validity(det: Fraction, noise: Lattice) -> ChannelValidity:
-    """The admissibility pieces for a transform of determinant det."""
-    if det == 0:
+def _admissibility(transform: Mat2, noise: Lattice) -> tuple[int, int, bool]:
+    """(num, den) of det K, den > 0, and the verdict v_p(den - num) - v_p(den) + a + b >= 0."""
+    num, den = transform._det_ratio()
+    if num == 0:
         raise ValueError("channel transform must be nonsingular")
-    n1 = padic_norm(1 - det, noise.p)
-    product = n1 * noise.measure
-    return ChannelValidity(n1, noise.measure, product, product <= 1)
+    return num, den, _ratio_valuation(den - num, den, noise.p) + noise.a + noise.b >= 0
 
 
 class GaussianChannel:
-    """Admissible Gaussian channel (K, L_noise); immutable, so K^-1, K^-1 L and n0 are derived once."""
+    """Admissible Gaussian channel (K, L_noise); immutable, so adj K, K^-1 L and n0 are derived once."""
 
-    __slots__ = ("_transform", "_noise", "_inverse", "_adjugate", "_gain", "_threshold", "_pulled")
+    __slots__ = ("_transform", "_noise", "_adjugate", "_gain", "_threshold", "_pulled")
     transform = property(attrgetter("_transform"), doc="The transform K (read-only).")
     noise = property(attrgetter("_noise"), doc="The noise lattice (read-only).")
 
     def __init__(self, transform: Mat2, noise: Lattice):
-        det = transform.det()
-        check = _validity(det, noise)
-        if not check.ok:
+        num, den, ok = _admissibility(transform, noise)
+        if not ok:
+            check = channel_validity(transform, noise)  # the exact Fractions word the message
             raise NotAChannelError(
                 "admissibility fails: |1 - det K|_p * measure = "
                 f"{check.one_minus_det_norm} * {check.noise_measure} = {check.product} > 1"
             )
         self._transform, self._noise, self._adjugate = transform, noise, transform.adjugate()
-        self._inverse = self._adjugate.scaled(1 / det)
-        self._gain = -valuation(det, noise.p)  # = v_p(det K^-1), reused by every image
-        self._pulled = pulled = noise._image(self._inverse, self._gain)
+        self._gain = _ratio_valuation(den, num, noise.p)  # g = -v_p(det K), reused by every image
+        self._pulled = pulled = noise._pulled_back(self._adjugate, self._gain)
         self._threshold = max(0, pulled._gap(noise), -((noise.a + noise.b) // 2))
 
     @property
@@ -145,7 +146,7 @@ class GaussianChannel:
         """
         if state.p != self.p:
             raise ValueError(f"prime mismatch: state at {state.p}, channel at {self.p}")
-        out = state.lattice._image(self._inverse, self._gain) & self._noise
+        out = state.lattice._pulled_back(self._adjugate, self._gain) & self._noise
         if out.a + out.b < 0:
             raise InvariantViolation(
                 f"admissible channel produced output measure {out.measure} > 1"
@@ -190,9 +191,9 @@ class GaussianChannel:
         solves B x = v instead of reducing: K^-1 maps the canonical columns
         of L_noise into it, and K maps its canonical columns into L_noise.
         """
-        noise, pulled = self._noise, self._pulled
+        noise, pulled, inverse = self._noise, self._pulled, self._transform.inverse()
         if not (
-            all(pulled.contains(self._inverse @ v) for v in noise.canonical.columns())
+            all(pulled.contains(inverse @ v) for v in noise.canonical.columns())
             and all(noise.contains(self._transform @ v) for v in pulled.canonical.columns())
         ):
             raise InvariantViolation("reduced K^-1 L_noise is not the image of the noise lattice")

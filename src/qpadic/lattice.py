@@ -111,10 +111,13 @@ class Mat2(FrozenValue):
         return cls(*rows[0], *rows[1])
 
     def det(self) -> Fraction:
-        """a * d - b * c over the common denominator of the four entries, as one Fraction."""
+        return Fraction(*self._det_ratio())
+
+    def _det_ratio(self) -> tuple[int, int]:
+        """a * d - b * c as an unreduced (num, den) over the product of the four denominators, den > 0."""
         (na, da), (nb, db) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
         (nc, dc), (nd, dd) = self.c.as_integer_ratio(), self.d.as_integer_ratio()
-        return Fraction(na * nd * db * dc - nb * nc * da * dd, da * db * dc * dd)
+        return na * nd * db * dc - nb * nc * da * dd, da * db * dc * dd
 
     def adjugate(self) -> "Mat2":
         return Mat2._of(self.d, -self.b, -self.c, self.a)
@@ -189,11 +192,11 @@ class Lattice:
 
     def __init__(self, basis: Mat2, p: int):
         p = require_prime(p)
-        det = basis.det()
-        if det == 0:
+        num, den = basis._det_ratio()
+        if num == 0:
             raise ValueError("lattice basis must be nonsingular")
         self.p, self.basis = p, basis
-        self.a, self.b, self.slope = _image_of(p, 0, 0, 0, basis, valuation(det, p))
+        self.a, self.b, self.slope = _image_of(p, 0, 0, 0, basis, _ratio_valuation(num, den, p))
 
     @classmethod
     def _from_canonical(cls, a: int, b: int, slope: Fraction, p: Prime) -> "Lattice":
@@ -286,6 +289,10 @@ class Lattice:
     def _image(self, g: Mat2, s: int) -> "Lattice":
         """g * L for v_p(det g) = s, by the one image formula."""
         return Lattice._from_canonical(*_image_of(self.p, self.a, self.b, self.slope, g, s), self.p)
+
+    def _pulled_back(self, adjugate: Mat2, g: int) -> "Lattice":
+        """K^-1 * L = adj K * (p**g * L) for g = -v_p(det K), since a p-adic unit fixes a lattice."""
+        return self.scaled(g)._image(adjugate, -g)
 
     def symplectic_basis(self) -> tuple[Vec2, Vec2]:
         """Generators u, v of a self-dual lattice with sympl(u, v) = p**(a + b) = 1: its canonical columns."""

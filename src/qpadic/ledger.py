@@ -14,19 +14,27 @@ from typing import Mapping
 _BASE_LABELS = {"e": "ln", "2": "log2", "10": "log10"}
 
 
+def _check_term(q: object, e: object) -> None:  # ints and no bools, as require_prime asks
+    if not (isinstance(q, int) and isinstance(e, int)) or bool in (type(q), type(e)) or q < 2:
+        raise ValueError("ledger terms must map integer primes to integer exponents")
+
+
 class LogLedger:
     """Formal sum of integer multiples of log(prime). Empty means zero."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        clean: dict[int, int] = {}
         for q, e in (terms or {}).items():
-            if not isinstance(q, int) or not isinstance(e, int):
-                raise ValueError("ledger terms must map integer primes to integer exponents")
-            if e != 0:
-                clean[q] = e
-        self._terms = dict(sorted(clean.items()))
+            _check_term(q, e)
+        self._terms = {q: e for q, e in sorted((terms or {}).items()) if e}
+
+    @classmethod
+    def _of(cls, terms: Mapping[int, int]) -> "LogLedger":
+        """A ledger of terms already checked, such as the sum of two ledgers; zeros are dropped."""
+        ledger = object.__new__(cls)
+        ledger._terms = {q: e for q, e in sorted(terms.items()) if e}
+        return ledger
 
     @classmethod
     def zero(cls) -> "LogLedger":
@@ -34,7 +42,8 @@ class LogLedger:
 
     @classmethod
     def single(cls, prime: int, exponent: int) -> "LogLedger":
-        return cls({prime: exponent})
+        _check_term(prime, exponent)
+        return cls._of({prime: exponent})
 
     @property
     def terms(self) -> dict[int, int]:
@@ -47,16 +56,13 @@ class LogLedger:
         return bool(self._terms)
 
     def __add__(self, other: "LogLedger") -> "LogLedger":
-        merged = dict(self._terms)
-        for q, e in other._terms.items():
-            merged[q] = merged.get(q, 0) + e
-        return LogLedger(merged)
+        return self._of({q: self._terms.get(q, 0) + other._terms.get(q, 0) for q in self._terms | other._terms})
 
     def __neg__(self) -> "LogLedger":
-        return LogLedger({q: -e for q, e in self._terms.items()})
+        return self._of({q: -e for q, e in self._terms.items()})
 
     def __sub__(self, other: "LogLedger") -> "LogLedger":
-        return self + (-other)
+        return self._of({q: self._terms.get(q, 0) - other._terms.get(q, 0) for q in self._terms | other._terms})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogLedger):
@@ -69,9 +75,7 @@ class LogLedger:
     def value(self, base: float = math.e) -> float:
         """Numeric value in the given base. Exactness ends here."""
         total = sum(e * math.log(q) for q, e in self._terms.items())
-        if base == math.e:
-            return total
-        return total / math.log(base)
+        return total if base == math.e else total / math.log(base)
 
     def render(self, base: str = "e") -> str:
         """Deterministic text form, e.g. '-1*ln(3)' or '2*log2(3) + 1*log2(5)'."""
@@ -79,9 +83,7 @@ class LogLedger:
             raise ValueError(f"unknown log base {base!r}; expected one of e, 2, 10")
         if not self._terms:
             return "0"
-        label = _BASE_LABELS[base]
-        parts = [f"{e}*{label}({q})" for q, e in self._terms.items()]
-        return " + ".join(parts)
+        return " + ".join(f"{e}*{_BASE_LABELS[base]}({q})" for q, e in self._terms.items())
 
     def __repr__(self) -> str:
         return f"LogLedger({self._terms!r})"

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NotAStateError
 from .lattice import Lattice, Mat2
-from .padic import require_prime, valuation
+from .padic import _ratio_valuation, require_prime, valuation
 
 __all__ = [
     "DIMENSION_CAP",
@@ -382,13 +382,13 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
     """
     p, d = system.p, system.dim
     k_int = _int_matrix(transform)
-    det = transform.det()
-    if det == 0:
+    num, den = transform._det_ratio()
+    if num == 0:
         raise ValueError("transform must be nonsingular")
     a0, b0 = noise_exponents
     noise_lat = exponent_lattice(p, a0, b0)
     noise_mask = _window_mask(system, noise_lat)  # ValueError when the noise leaves the window
-    inverse, gain = transform.adjugate().scaled(1 / det), -valuation(det, p)  # gain = v_p(det K^-1)
+    adjugate, gain = transform.adjugate(), _ratio_valuation(den, num, p)  # gain = -v_p(det K)
 
     z = np.arange(d)
     ka, kb, kc, kd = (v % d for v in k_int)
@@ -398,7 +398,7 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
     solved: dict[bytes, tuple[np.ndarray, float, float]] = {}  # output mask -> spectrum, min, trace
     for g, h in _state_exponents(system):
         in_lat = exponent_lattice(p, g, h)
-        pulled = in_lat._image(inverse, gain)
+        pulled = in_lat._pulled_back(adjugate, gain)  # K^-1 L, as the channel forms it
         out_lat = pulled & noise_lat
         if not (_fits_window(system, pulled) and _fits_window(system, out_lat)):
             continue

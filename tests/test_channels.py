@@ -11,14 +11,16 @@ from qpadic.channels import GaussianChannel, GaussianState, channel_validity
 from qpadic.errors import InvariantViolation, NotAChannelError, NotAStateError
 from qpadic.lattice import Lattice, Mat2, Vec2, standard_lattice, sympl
 from qpadic.ledger import LogLedger
-from qpadic.padic import additive_character, valuation
+from qpadic.padic import additive_character, padic_norm, valuation
 
 from conftest import (
     PRIMES,
     rand_basis,
     rand_lattice,
+    rand_rational,
     rand_state,
     rand_symplectic,
+    rand_unit,
     rand_valid_channel,
     rand_vector,
     solved_subset,
@@ -256,6 +258,43 @@ class TestChannelAdmissibility:
         assert noise.measure == 25
         assert channel_validity(Mat2.identity(), noise).ok
 
+    def test_int_verdict_matches_fraction_reference(self):
+        # channel_validity and the constructor read v(den - num) - v(den) + a + b >= 0 off the int
+        # ratio of det K; the reference is the reduced Fraction det and padic_norm, field by field
+        rng = random.Random(47)
+        seen = {kind: 0 for kind in ("one", "one mod p^k", "unit", "any", "inadmissible", "boundary")}
+        for i in range(2400):
+            p = (*PRIMES, 1000003)[i % 6]
+            kind = ("one", "one mod p^k", "unit", "any")[i // 6 % 4]
+            if kind == "one":
+                d = Fraction(1)
+            elif kind == "one mod p^k":
+                d = 1 + p ** rng.randint(1, 4) * rand_unit(rng, p)  # v(1 - det) = k exactly
+            elif kind == "unit":
+                d = rand_unit(rng, p)
+            else:
+                d = rand_rational(rng, p)
+            k = rand_symplectic(rng, p) @ Mat2.diagonal(d, 1)
+            noise = rand_lattice(rng, p).scaled(rng.randint(-3, 2))
+            det = k.det()
+            n1 = padic_norm(1 - det, p)
+            ref = (n1, noise.measure, n1 * noise.measure, n1 * noise.measure <= 1)
+            chk = channel_validity(k, noise)
+            assert (chk.one_minus_det_norm, chk.noise_measure, chk.product, chk.ok) == ref
+            assert all(type(x) is Fraction for x in ref[:3])
+            if ref[3]:
+                GaussianChannel(k, noise)
+            else:
+                with pytest.raises(NotAChannelError) as err:
+                    GaussianChannel(k, noise)
+                assert str(err.value) == (
+                    f"admissibility fails: |1 - det K|_p * measure = {ref[0]} * {ref[1]} = {ref[2]} > 1"
+                )
+            seen[kind] += 1
+            seen["inadmissible"] += not ref[3]
+            seen["boundary"] += ref[2] == 1
+        assert min(seen.values()) >= 50, seen
+
 
 class TestChannelApplication:
     def test_pinned_pipeline(self):
@@ -440,7 +479,7 @@ class TestGainLaw:
 
 
 class TestDerivedOnce:
-    """A channel is immutable and derives K^-1, K^-1 L and its threshold in the constructor."""
+    """A channel is immutable and derives adj K, K^-1 L and its threshold in the constructor."""
 
     def test_witness_reductions(self, monkeypatch):
         rng = random.Random(43)
@@ -455,7 +494,7 @@ class TestDerivedOnce:
         monkeypatch.setattr(Lattice, "_image", counting)
         for built in channels:
             calls.clear()
-            chan = GaussianChannel(built.transform, built.noise)  # one image, K^-1 L
+            chan = GaussianChannel(built.transform, built.noise)  # one image, K^-1 L = adj K (p**g L)
             assert len(calls) == 1
             n0 = chan.witness_threshold()
             assert len(calls) == 1
@@ -463,8 +502,8 @@ class TestDerivedOnce:
             assert len(calls) == 2
             chan.entropy_gain_witness(n0 + 1)
             assert len(calls) == 3
-            # every image is reduced with the channel's own v(det K^-1) = -v(det K)
-            assert set(calls) == {-valuation(built.transform.det(), built.p)}
+            # every image is under adj K, reduced with the channel's own v(det adj K) = v(det K) = -g
+            assert set(calls) == {valuation(built.transform.det(), built.p)}
 
     def test_witness_sequence_builds_no_canonical_matrix(self, monkeypatch):
         # the exact-witness sequence reads (a, b, c) only; the canonical Mat2 waits for a reader
@@ -503,19 +542,51 @@ class TestDerivedOnce:
             (Mat2, "inverse"),
             (Mat2, "__matmul__"),
             (Mat2, "det"),
+            (Mat2, "_det_ratio"),
+            (Mat2, "scaled"),
             (qpadic.lattice, "_image_of"),
         ):
             monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         chan = GaussianChannel(k, noise)
         assert all(getattr(chan, slot) is not None for slot in GaussianChannel.__slots__)
-        # det K once, shared by admissibility, K^-1 and v(det K^-1); one reduction, K^-1 L
-        assert calls.count("det") == 1 and calls.count("_image_of") == 1 and "inverse" not in calls
+        # the int ratio of det K once, shared by admissibility and g = -v(det K); one reduction,
+        # K^-1 L under adj K; no reduced det, and no K^-1 = adj K / det K
+        assert calls.count("_det_ratio") == 1 and calls.count("_image_of") == 1
+        assert not {"det", "inverse", "scaled"} & set(calls)
         calls.clear()
         assert [chan.witness_threshold() for _ in range(3)] == [2, 2, 2]
         assert calls == []
         chan.entropy_gain_witness(2)
         chan.entropy_gain_witness(3)
-        assert "det" not in calls and "inverse" not in calls
+        assert not {"det", "_det_ratio", "inverse", "scaled"} & set(calls)
+
+    def test_admissibility_builds_no_fraction(self, monkeypatch):
+        # an admissible pair is accepted on the int verdict alone: no |1 - det K|_p, no measure,
+        # no ChannelValidity; a rejected pair words its message from channel_validity's Fractions
+        rng = random.Random(44)
+        pairs = [(c.transform, c.noise) for c in (rand_valid_channel(rng, p) for p in PRIMES for _ in range(20))]
+        bad = (Mat2.diagonal(4, 1), diag_lattice(3, Fraction(1, 3), Fraction(1, 3)))
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("padic_norm", "channel_validity", "ChannelValidity"):
+            monkeypatch.setattr(qpadic.channels, name, spy(name, getattr(qpadic.channels, name)))
+        for name in ("det", "inverse", "scaled"):
+            monkeypatch.setattr(Mat2, name, spy(name, getattr(Mat2, name)))
+        measure = Lattice.measure.fget
+        monkeypatch.setattr(Lattice, "measure", property(spy("measure", measure)))
+        for k, noise in pairs:
+            GaussianChannel(k, noise)
+        assert calls == []
+        with pytest.raises(NotAChannelError, match=r"= 1/3 \* 9 = 3 > 1$"):
+            GaussianChannel(*bad)
+        assert calls[0] == "channel_validity" and "padic_norm" in calls and "measure" in calls
 
     def test_zero_shift_skips_adjugate(self, monkeypatch):
         # adj(K) fixes the zero shift of every witness input; a nonzero shift takes one adj(K) @ alpha
@@ -576,5 +647,19 @@ class TestLedger:
     def test_rejects_bad_terms(self):
         with pytest.raises(ValueError):
             LogLedger({3: Fraction(1, 2)})
+        # a bool is an int to isinstance; it would render as True*ln(3) or 2*ln(True)
+        for q, e in ((3, True), (True, 2), (3, False), (False, 1), (1, 2), (0, 1), (-3, 1), (3.0, 1)):
+            with pytest.raises(ValueError):
+                LogLedger({q: e})
+            with pytest.raises(ValueError):
+                LogLedger.single(q, e)
+        assert LogLedger({3: 1}).render() == "1*ln(3)" and LogLedger.single(3, 1) == LogLedger({3: 1})
+
+    def test_derived_ledgers_are_sorted_and_reduced(self):
+        a, b = LogLedger({5: 1, 7: 2}), LogLedger({2: -1, 5: 1})
+        assert (a + b).terms == {2: -1, 5: 2, 7: 2} and list((a + b).terms) == [2, 5, 7]
+        assert (a - b).render() == "1*ln(2) + 2*ln(7)" and list((b - a).terms) == [2, 7]
+        assert (a - a).is_zero() and (a + -a).render() == "0" and not -LogLedger.zero()
+        assert LogLedger.single(3, 0) == LogLedger.zero() and LogLedger.single(3, 0).render() == "0"
         with pytest.raises(ValueError):
             LogLedger.zero().render("7")
