@@ -4,62 +4,21 @@ The exact layer (padic, lattice, ledger, channels, adelic) works entirely
 in rational arithmetic. The oracle module rebuilds the same objects as
 finite complex matrices for numerical cross-checks, and the cli module
 exposes the lot as a command-line tool.
+
+The package republishes each exact module's ``__all__``, so a public name is
+listed once, in the module that defines it.
 """
 
-from .adelic import AdelicGainReport, adelic_report, factor_integer, factor_rational, gain_exponent
-from .channels import ChannelValidity, GaussianChannel, GaussianState, channel_validity
-from .errors import InvariantViolation, NotAChannelError, NotAStateError
-from .lattice import (
-    STANDARD_J,
-    Lattice,
-    Mat2,
-    Vec2,
-    standard_lattice,
-    sympl,
-    symplectic_transport,
-)
-from .ledger import LogLedger
-from .padic import (
-    INFINITY,
-    PhaseQ,
-    additive_character,
-    as_rational,
-    fractional_part,
-    is_prime,
-    padic_norm,
-    valuation,
-)
+from . import adelic, channels, errors, lattice, ledger, padic
+from .adelic import *
+from .channels import *
+from .errors import *
+from .lattice import *
+from .ledger import *
+from .padic import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdelicGainReport",
-    "ChannelValidity",
-    "GaussianChannel",
-    "GaussianState",
-    "INFINITY",
-    "InvariantViolation",
-    "Lattice",
-    "LogLedger",
-    "Mat2",
-    "NotAChannelError",
-    "NotAStateError",
-    "PhaseQ",
-    "STANDARD_J",
-    "Vec2",
-    "additive_character",
-    "adelic_report",
-    "as_rational",
-    "channel_validity",
-    "factor_integer",
-    "factor_rational",
-    "fractional_part",
-    "gain_exponent",
-    "is_prime",
-    "padic_norm",
-    "standard_lattice",
-    "sympl",
-    "symplectic_transport",
-    "valuation",
-    "__version__",
-]
+__all__ = sorted(
+    name for module in (adelic, channels, errors, lattice, ledger, padic) for name in module.__all__
+) + ["__version__"]

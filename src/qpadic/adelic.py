@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .lattice import Mat2
-from .padic import require_prime, valuation
+from .padic import _ratio_valuation, require_prime
 from .value import FrozenValue
 
 __all__ = [
@@ -121,11 +121,8 @@ def factor_rational(q: Fraction) -> dict[int, int]:
 
 def gain_exponent(transform: Mat2, p: int) -> int:
     """Exponent g with gain = g * log(p) at prime p, i.e. g = -v_p(det K)."""
-    p = require_prime(p)
-    det = transform.det()
-    if det == 0:
-        raise ValueError("transform must be nonsingular")
-    return -valuation(det, p)
+    num, den = transform._det_ratio()
+    return _ratio_valuation(den, num, require_prime(p))
 
 
 class AdelicGainReport(FrozenValue):
@@ -146,14 +143,13 @@ class AdelicGainReport(FrozenValue):
 
 
 def adelic_report(transform: Mat2) -> AdelicGainReport:
-    """Build the sum-zero report for a nonsingular rational transform, from one det K."""
-    det = transform.det()
-    if det == 0:
-        raise ValueError("transform must be nonsingular")
+    """Build the sum-zero report for a nonsingular rational transform, from one det K = num / den."""
+    num, den = transform._det_ratio()
+    det = Fraction(num, den)
     real = factor_rational(det)
-    primes = {q: -valuation(det, q) for q in real}
-    num = math.prod(q**e for q, e in real.items() if e > 0)
-    den = math.prod(q**-e for q, e in real.items() if e < 0)
+    primes = {q: _ratio_valuation(den, num, q) for q in real}  # -v_q(det K), read off the unreduced pair
+    top = math.prod(q**e for q, e in real.items() if e > 0)
+    bottom = math.prod(q**-e for q, e in real.items() if e < 0)
     cancels = all(primes[q] + e == 0 for q, e in real.items())
-    sum_is_zero = cancels and (num, den) == (abs(det.numerator), det.denominator)
+    sum_is_zero = cancels and (top, bottom) == (abs(det.numerator), det.denominator)
     return AdelicGainReport(det=det, prime_gains=primes, real_gain=real, sum_is_zero=sum_is_zero)

@@ -104,8 +104,6 @@ def channel_validity(transform: Mat2, noise: Lattice) -> ChannelValidity:
 def _admissibility(transform: Mat2, noise: Lattice) -> tuple[int, int, bool]:
     """(num, den) of det K, den > 0, and the verdict v_p(den - num) - v_p(den) + a + b >= 0."""
     num, den = transform._det_ratio()
-    if num == 0:
-        raise ValueError("channel transform must be nonsingular")
     return num, den, _ratio_valuation(den - num, den, noise.p) + noise.a + noise.b >= 0
 
 

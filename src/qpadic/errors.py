@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InvariantViolation", "NotAChannelError", "NotAStateError"]
+
 
 class NotAStateError(ValueError):
     """The lattice measure exceeds 1, so no density operator exists for it."""

@@ -111,22 +111,27 @@ class Mat2(FrozenValue):
         return cls(*rows[0], *rows[1])
 
     def det(self) -> Fraction:
-        return Fraction(*self._det_ratio())
+        try:
+            return Fraction(*self._det_ratio())
+        except ValueError:  # singular
+            return Fraction(0)
 
     def _det_ratio(self) -> tuple[int, int]:
-        """a * d - b * c as an unreduced (num, den) over the product of the four denominators, den > 0."""
+        """a * d - b * c as an unreduced (num, den) over the product of the four denominators,
+        num != 0 < den: the one singularity check, raising ValueError for a singular matrix."""
         (na, da), (nb, db) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
         (nc, dc), (nd, dd) = self.c.as_integer_ratio(), self.d.as_integer_ratio()
-        return na * nd * db * dc - nb * nc * da * dd, da * db * dc * dd
+        num = na * nd * db * dc - nb * nc * da * dd
+        if not num:
+            raise ValueError(f"singular matrix {self}")
+        return num, da * db * dc * dd
 
     def adjugate(self) -> "Mat2":
         return Mat2._of(self.d, -self.b, -self.c, self.a)
 
     def inverse(self) -> "Mat2":
-        det = self.det()
-        if det == 0:
-            raise ValueError("matrix is singular")
-        return self.adjugate().scaled(Fraction(1) / det)
+        num, den = self._det_ratio()
+        return self.adjugate().scaled(Fraction(den, num))
 
     def scaled(self, s: Fraction | int) -> "Mat2":
         s = as_rational(s)
@@ -193,8 +198,6 @@ class Lattice:
     def __init__(self, basis: Mat2, p: int):
         p = require_prime(p)
         num, den = basis._det_ratio()
-        if num == 0:
-            raise ValueError("lattice basis must be nonsingular")
         self.p, self.basis = p, basis
         self.a, self.b, self.slope = _image_of(p, 0, 0, 0, basis, _ratio_valuation(num, den, p))
 
@@ -281,10 +284,7 @@ class Lattice:
 
     def transformed(self, g: Mat2) -> "Lattice":
         """Image g * L under a nonsingular rational matrix."""
-        det = g.det()
-        if det == 0:
-            raise ValueError("transform must be nonsingular")
-        return self._image(g, valuation(det, self.p))
+        return self._image(g, _ratio_valuation(*g._det_ratio(), self.p))
 
     def _image(self, g: Mat2, s: int) -> "Lattice":
         """g * L for v_p(det g) = s, by the one image formula."""

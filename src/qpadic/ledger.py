@@ -11,12 +11,18 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
+from .padic import require_prime
+
+__all__ = ["LogLedger"]
+
 _BASE_LABELS = {"e": "ln", "2": "log2", "10": "log10"}
 
 
-def _check_term(q: object, e: object) -> None:  # ints and no bools, as require_prime asks
-    if not (isinstance(q, int) and isinstance(e, int)) or bool in (type(q), type(e)) or q < 2:
-        raise ValueError("ledger terms must map integer primes to integer exponents")
+def _check_term(q: object, e: object) -> None:
+    """A key must pass require_prime, free for a Prime; an exponent must be an int, not a bool."""
+    require_prime(q)
+    if not isinstance(e, int) or isinstance(e, bool):
+        raise ValueError(f"ledger exponent {e!r} is not an integer")
 
 
 class LogLedger:

@@ -383,8 +383,6 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
     p, d = system.p, system.dim
     k_int = _int_matrix(transform)
     num, den = transform._det_ratio()
-    if num == 0:
-        raise ValueError("transform must be nonsingular")
     a0, b0 = noise_exponents
     noise_lat = exponent_lattice(p, a0, b0)
     noise_mask = _window_mask(system, noise_lat)  # ValueError when the noise leaves the window

@@ -25,14 +25,11 @@ from .value import FrozenValue
 __all__ = [
     "INFINITY",
     "PhaseQ",
-    "Prime",
     "additive_character",
     "as_rational",
     "fractional_part",
     "is_prime",
-    "p_power",
     "padic_norm",
-    "require_prime",
     "valuation",
 ]
 

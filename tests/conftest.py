@@ -166,8 +166,8 @@ def failing_last_scan(monkeypatch):
 
     scan = qpadic.oracle.channel_scan
 
-    def planted(system, transform, noise, *args):
-        cases = scan(system, transform, noise, *args)
+    def planted(system, transform, noise):
+        cases = scan(system, transform, noise)
         if transform == Mat2(3, 0, 3, 1) and noise == (1, -1):
             cases[-1].agree = False
         return cases

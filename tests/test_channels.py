@@ -11,7 +11,7 @@ from qpadic.channels import GaussianChannel, GaussianState, channel_validity
 from qpadic.errors import InvariantViolation, NotAChannelError, NotAStateError
 from qpadic.lattice import Lattice, Mat2, Vec2, standard_lattice, sympl
 from qpadic.ledger import LogLedger
-from qpadic.padic import additive_character, padic_norm, valuation
+from qpadic.padic import Prime, additive_character, padic_norm, valuation
 
 from conftest import (
     PRIMES,
@@ -648,12 +648,16 @@ class TestLedger:
         with pytest.raises(ValueError):
             LogLedger({3: Fraction(1, 2)})
         # a bool is an int to isinstance; it would render as True*ln(3) or 2*ln(True)
-        for q, e in ((3, True), (True, 2), (3, False), (False, 1), (1, 2), (0, 1), (-3, 1), (3.0, 1)):
+        # a key must be prime: {4: 1} would render 1*ln(4) and compare unequal to {2: 2}
+        bad = ((3, True), (True, 2), (3, False), (False, 1), (1, 2), (0, 1), (-3, 1), (3.0, 1), (4, 1), (9, 2))
+        for q, e in bad:
             with pytest.raises(ValueError):
                 LogLedger({q: e})
             with pytest.raises(ValueError):
                 LogLedger.single(q, e)
         assert LogLedger({3: 1}).render() == "1*ln(3)" and LogLedger.single(3, 1) == LogLedger({3: 1})
+        assert LogLedger({2: 2}).render() == "2*ln(2)"
+        assert LogLedger({Prime(3): 1}) == LogLedger({3: 1}) and LogLedger.single(Prime(5), -1) == LogLedger({5: -1})
 
     def test_derived_ledgers_are_sorted_and_reduced(self):
         a, b = LogLedger({5: 1, 7: 2}), LogLedger({2: -1, 5: 1})

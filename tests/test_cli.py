@@ -86,6 +86,11 @@ class TestExitCodes:
         assert code == 1
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("flag,other", [("--K", "--L"), ("--L", "--K")])
+    def test_singular_input_names_its_literal(self, flag, other):
+        args = ["channel", "apply", "--p", "3", flag, "2,4;1,2", other, "3,0;0,1", "--state", "1,0;0,1"]
+        assert run_cli(args) == (1, "", "error: singular matrix 2,4;1,2\n")
+
     def test_invariant_violation_is_two(self, monkeypatch):
         def boom(_):
             raise InvariantViolation("forced for the exit-code contract")

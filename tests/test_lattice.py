@@ -13,7 +13,8 @@ import pytest
 
 import qpadic.lattice
 import qpadic.padic
-from qpadic.channels import GaussianChannel, GaussianState
+from qpadic.adelic import adelic_report, gain_exponent
+from qpadic.channels import GaussianChannel, GaussianState, channel_validity
 from qpadic.lattice import (
     STANDARD_J,
     Lattice,
@@ -23,6 +24,7 @@ from qpadic.lattice import (
     sympl,
     symplectic_transport,
 )
+from qpadic.oracle import WeylSystem, channel_scan
 from qpadic.padic import Prime, fractional_part, p_power, padic_norm, valuation
 
 from conftest import (
@@ -152,6 +154,29 @@ class TestVecMat:
             det, ref = m.det(), m.a * m.d - m.b * m.c
             assert type(det) is Fraction
             assert (det.numerator, det.denominator) == (ref.numerator, ref.denominator)
+            if ref == 0:  # det() reads 0 where the checked _det_ratio refuses
+                with pytest.raises(ValueError, match="singular matrix"):
+                    m._det_ratio()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda m: Lattice(m, 3),
+            lambda m: standard_lattice(3).transformed(m),
+            lambda m: m.inverse(),
+            lambda m: channel_validity(m, standard_lattice(3)),
+            lambda m: GaussianChannel(m, standard_lattice(3)),
+            lambda m: gain_exponent(m, 3),
+            adelic_report,
+            lambda m: channel_scan(WeylSystem(3, 2), m, (0, 0)),
+        ],
+        ids=["Lattice", "transformed", "inverse", "channel_validity", "GaussianChannel",
+             "gain_exponent", "adelic_report", "channel_scan"],
+    )
+    def test_singular_matrix_has_one_message(self, entry):
+        # every entry point reads det through Mat2._det_ratio, whose error names the matrix
+        with pytest.raises(ValueError, match=r"^singular matrix 1,2;2,4$"):
+            entry(Mat2(1, 2, 2, 4))
 
     def test_matvec(self):
         m = Mat2(1, 2, 3, 4)
