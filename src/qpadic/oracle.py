@@ -19,9 +19,11 @@ a mask with the mask of the exact dual. One builder makes every density,
 p^(-N) * sum of W(-z) over a point set S, as one inverse DFT over z2 of the rows
 z1 that meet S, scattered in place: the image of a state lattice gives an exact
 Gaussian state, its pullback by K within the noise image a channel output.
-Spectra are solved per coset block of the matrix's own nonzero offsets. A
-channel scan solves each distinct output subgroup once and checks every case
-against its own exact prediction; characteristic functions are checked too.
+Spectra are solved per coset block of the matrix's own nonzero offsets; a channel
+scan solves each distinct output density once, as built, and checks every case
+against its own exact prediction. char_table's index and twist are built once per
+system. The CCR defect of the dense matrices has its norm read off as its largest
+|entry| when it is monomial, by SVD otherwise.
 
 Everything here is floating point by design; tolerances are carried by
 the callers. The exact modules never import this one.
@@ -33,6 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +107,12 @@ class WeylSystem:
         """Half-width m = N/2 of the exponent window."""
         return self.N // 2
 
+    @cached_property  # stored in the instance __dict__: equality and hashing stay on (p, N)
+    def _char_grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """char_table's tables: the flat index of rho[x + a, x] at [a, x], the twist at [a, b]."""
+        d, x = self.dim, np.arange(self.dim)
+        return (x[:, None] + x) % d * d + x, np.exp(2j * np.pi * x / d)[(self.half * np.outer(x, x)) % d]
+
 
 def _weyl_entries(system: WeylSystem, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """W(a, b) is monomial: row x holds phases[x] in column cols[x] = x + a; coordinates mod p**N."""
@@ -125,13 +134,19 @@ def weyl_operator(system: WeylSystem, a: int, b: int) -> np.ndarray:
 def ccr_deviation(system: WeylSystem, z1: tuple[int, int], z2: tuple[int, int]) -> float:
     """Operator-norm defect of W(z1) W(z2) = phase * W(z1 + z2)."""
     d = system.dim
-    a1, b1 = z1
-    a2, b2 = z2
+    (a1, b1), (a2, b2) = z1, z2
     lhs = weyl_operator(system, a1, b1) @ weyl_operator(system, a2, b2)
-    disc = a1 * b2 - b1 * a2
-    phase = np.exp(2j * np.pi * ((system.half * disc) % d) / d)
+    phase = np.exp(2j * np.pi * ((system.half * (a1 * b2 - b1 * a2)) % d) / d)
     rhs = phase * weyl_operator(system, a1 + a2, b1 + b2)
-    return float(np.linalg.norm(lhs - rhs, 2))
+    return _operator_norm(lhs - rhs)
+
+
+def _operator_norm(m: np.ndarray) -> float:
+    """Spectral norm: the largest |entry| if m has at most one nonzero per row and column, else SVD."""
+    nz = m != 0
+    if nz.sum(axis=0).max() <= 1 and nz.sum(axis=1).max() <= 1:
+        return float(np.abs(m).max())
+    return float(np.linalg.norm(m, 2))
 
 
 def ccr_scan(system: WeylSystem, sample: int | None = None, seed: int = 0) -> tuple[float, int]:
@@ -232,12 +247,9 @@ def char_value(system: WeylSystem, rho: np.ndarray, a: int, b: int) -> complex:
 
 def char_table(system: WeylSystem, rho: np.ndarray) -> np.ndarray:
     """All characteristic values at once; entry [a, b] is Tr(rho W(a, b))."""
-    d = system.dim
-    x = np.arange(d)
-    # row a holds the diagonal rho[x + a, x]; a length-d DFT over x gives every b
-    diagonals = rho[(x[:, None] + x) % d, x]
-    roots = np.exp(2j * np.pi * x / d)
-    return d * np.fft.ifft(diagonals, axis=1) * roots[(system.half * np.outer(x, x)) % d]
+    index, twist = system._char_grids
+    # row a holds the diagonal rho[x + a, x]; an unscaled inverse DFT over x gives every b
+    return np.fft.ifft(np.take(rho, index), axis=1, norm="forward") * twist
 
 
 def char_indicator_deviation(
@@ -405,7 +417,7 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
         key = out_mask.tobytes()
         if key not in solved:
             rho = _subgroup_density(system, out_mask)
-            spectrum = _block_spectrum((rho + rho.conj().T) / 2)
+            spectrum = _block_spectrum(rho)  # eigvalsh reads one triangle
             solved[key] = spectrum, float(spectrum.min()), float(np.real(np.trace(rho)))
         spectrum, min_eig, trace = solved[key]
         n_out = out_lat.a + out_lat.b

@@ -123,7 +123,9 @@ def require_prime(p: int) -> Prime:
 
 
 def _split(n: int, p: int) -> tuple[int, int]:
-    """(v, u) with n = p**v * u and u prime to p, for an int n != 0."""
+    """(v, u) with n = p**v * u and u prime to p, for an int n != 0; ValueError at n = 0."""
+    if not n:  # 0 % p == 0 forever, so the loop below would never end
+        raise ValueError("zero has no finite valuation")
     v = 0
     while n % p == 0:
         n, v, q, e = n // p, v + 1, p * p, 2  # then p**2, p**4, ... while each divides, so

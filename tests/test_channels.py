@@ -478,6 +478,41 @@ class TestGainLaw:
                 assert LogLedger.single(p, -int(valuation(norm, p))) == chan.entropy_gain()
 
 
+def edge_channel(rng: random.Random, p: int) -> GaussianChannel:
+    """An admissible channel on the edge: det K = 1 + p^k u and a noise of measure exactly p^k > 1."""
+    k = rng.randint(1, 3)
+    transform = rand_symplectic(rng, p) @ Mat2.diagonal(1 + p**k * rand_unit(rng, p), 1)
+    noise = rand_lattice(rng, p)
+    noise = noise.transformed(Mat2.diagonal(Fraction(p) ** (-k - noise.a - noise.b), 1))  # a + b = -k
+    assert channel_validity(transform, noise).product == 1
+    return GaussianChannel(transform, noise)
+
+
+class TestChannelSemigroup:
+    """(K1, L1) then (K2, L2) maps pi to pi(K1 K2 z) [z in K2^-1 L1 & L2]: one Gaussian channel."""
+
+    def test_composite_applies_as_the_sequence(self):
+        # K2^-1 L1 goes through transformed(K2.inverse()), not the channel's adj K pullback
+        rng = random.Random(49)
+        seen = {"noise measure > 1": 0, "product 1, det K != 1": 0}
+        for i in range(400):
+            p = PRIMES[i % len(PRIMES)]
+            make = (edge_channel if rng.random() < 0.75 else rand_valid_channel for _ in "12")
+            first, second = (channel(rng, p) for channel in make)
+            transform = first.transform @ second.transform
+            noise = first.noise.transformed(second.transform.inverse()) & second.noise
+            check = channel_validity(transform, noise)
+            assert check.ok, (first, second)  # a composite of completely positive maps is one
+            composite = GaussianChannel(transform, noise)
+            state = rand_state(rng, p, shifted=True)
+            out, want = second.apply(first.apply(state)), composite.apply(state)
+            assert (out.lattice, out.shift) == (want.lattice, want.shift)  # adj(K1 K2) = adj K2 adj K1
+            assert first.entropy_gain() + second.entropy_gain() == composite.entropy_gain()
+            seen["noise measure > 1"] += noise.measure > 1
+            seen["product 1, det K != 1"] += check.product == 1 and transform.det() != 1
+        assert min(seen.values()) >= 10, seen
+
+
 class TestDerivedOnce:
     """A channel is immutable and derives adj K, K^-1 L and its threshold in the constructor."""
 

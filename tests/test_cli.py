@@ -245,6 +245,21 @@ class TestBoundedTime:
         assert proc.returncode == 1
         assert proc.stdout == "" and proc.stderr.startswith("error:")
 
+    def test_zero_valuation_is_refused(self):
+        # _split(0, p) looped forever (0 % p == 0), so a zero den in _ratio_valuation or _residue
+        # hung; a subprocess keeps that from stalling the suite
+        code = (
+            "from qpadic.padic import _ratio_valuation, _residue, _split\n"
+            "for call in (lambda: _split(0, 3), lambda: _ratio_valuation(5, 0, 3),\n"
+            "             lambda: _residue(1, 0, 3, 2)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as err:\n"
+            "        print(err)\n"
+        )
+        proc = run_subprocess(["-c", code], timeout=10)
+        assert proc.returncode == 0 and proc.stdout == "zero has no finite valuation\n" * 3
+
     def test_import_leaves_numpy_unloaded(self):
         proc = run_subprocess(
             ["-c", "import sys, qpadic.cli; print('numpy' in sys.modules)"], timeout=20

@@ -25,6 +25,7 @@ from qpadic.oracle import (
     _block_spectrum,
     _dual_deviation,
     _fits_window,
+    _operator_norm,
     _subgroup_density,
     _window_mask,
     ccr_deviation,
@@ -55,6 +56,26 @@ def weyl_sum_density(system, mask):
     for z1, z2 in zip(*np.nonzero(mask)):
         rho += weyl_operator(system, -int(z1), -int(z2))
     return rho / d
+
+
+def dense_ccr_defect(system, a1, b1, a2, b2, weyl=weyl_operator):
+    """||W(z1) W(z2) - exp(2*pi*i*h*D(z1, z2)/p^N) W(z1 + z2)||_2 by one SVD of the dense defect."""
+    d = system.dim
+    phase = np.exp(2j * np.pi * (system.half * (a1 * b2 - b1 * a2) % d) / d)
+    lhs = weyl(system, a1, b1) @ weyl(system, a2, b2)
+    return np.linalg.norm(lhs - phase * weyl(system, a1 + a2, b1 + b2), 2)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Patch owner.name to record the arguments of each call; returns the list it fills."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def indicator(system, k):
@@ -165,6 +186,78 @@ class TestWeylOperators:
         with pytest.raises(ValueError, match="sample must be positive"):
             ccr_scan(SYS, sample=sample)
 
+    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
+    def test_deviation_is_the_dense_operator_norm(self, p, n):
+        system = WeylSystem(p, n)
+        rng = np.random.default_rng(62)
+        for _ in range(100):
+            a1, b1, a2, b2 = (int(v) for v in rng.integers(-system.dim, system.dim, 4))
+            want = dense_ccr_defect(system, a1, b1, a2, b2)
+            assert abs(ccr_deviation(system, (a1, b1), (a2, b2)) - want) < 1e-14
+
+    def test_full_grid_takes_no_svd(self, monkeypatch):
+        # every passing pair leaves a defect with the support of W(z1 + z2), read off without an SVD
+        calls = count_calls(monkeypatch, np.linalg, "norm")
+        assert ccr_scan(SYS)[0] < 1e-10
+        assert calls == []
+
+    def test_off_support_entry_takes_the_svd(self, monkeypatch):
+        build = qpadic.oracle.weyl_operator
+
+        def planted(system, a, b):
+            w = build(system, a, b)
+            w[0, (a + 1) % system.dim] += 1  # row 0 now holds two nonzeros
+            return w
+
+        monkeypatch.setattr(qpadic.oracle, "weyl_operator", planted)
+        for (a1, b1), (a2, b2) in (((1, 2), (4, 5)), ((2, 7), (3, 1)), ((8, 8), (5, 3))):
+            want = dense_ccr_defect(SYS, a1, b1, a2, b2, weyl=planted)
+            calls = count_calls(monkeypatch, np.linalg, "norm")
+            dev = ccr_deviation(SYS, (a1, b1), (a2, b2))
+            assert len(calls) == 1 and abs(dev - want) < 1e-14 and dev > 0.5
+
+
+class TestOperatorNorm:
+    """_operator_norm against np.linalg.norm(m, 2), the SVD it stands in for."""
+
+    @staticmethod
+    def monomial(rng, d):
+        """A complex matrix with at most one nonzero per row and column; about a fifth of its rows are 0."""
+        m = np.zeros((d, d), dtype=complex)
+        keep = rng.random(d) > 0.2
+        keep[rng.integers(d)] = False
+        rows = np.flatnonzero(keep)
+        m[rows, rng.permutation(d)[: len(rows)]] = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+        return m
+
+    @staticmethod
+    def assert_norm(m):
+        want = np.linalg.norm(m, 2)
+        assert abs(_operator_norm(m) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("d", [9, 25, 49, 81])
+    def test_monomial_matrices(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            m = self.monomial(rng, d)
+            assert not m.any(axis=1).all()  # a zero row
+            self.assert_norm(m)
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["row", "column"])
+    def test_two_nonzeros_in_one_line(self, transpose):
+        # the pair is alone in its row and columns and dominates the monomial background, so
+        # every other line holds at most one nonzero and the largest entry is not the norm
+        rng = np.random.default_rng(63)
+        for d in (9, 25):
+            m = self.monomial(rng, d) / 10
+            m[2], m[:, [3, 5]] = 0, 0
+            m[2, [3, 5]] = 1 + 1j, -1
+            self.assert_norm(m.T if transpose else m)
+            assert np.linalg.norm(m, 2) > np.abs(m).max() + 0.25
+
+    def test_zero_matrix(self):
+        assert _operator_norm(np.zeros((9, 9), dtype=complex)) == 0 == np.linalg.norm(np.zeros((9, 9)), 2)
+
 
 class TestGaussianDensities:
     @pytest.mark.parametrize("e1,e2", [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1), (1, -1)])
@@ -199,9 +292,11 @@ class TestGaussianDensities:
     def test_char_table_matches_pointwise_trace(self):
         # the full (a, b) grid, so a sign or index slip in the DFT shows; a
         # Gaussian's table vanishes where the h*a*b twist is not 1, so a
-        # generic density covers the twist
+        # generic density covers the twist. Each system builds its tables once, so the systems
+        # interleave, and (3, 2) comes back as the same instance and as a fresh equal one
         rng = np.random.default_rng(61)
-        for system, shift in ((SYS, (2, 7)), (WeylSystem(5, 2), (4, 11))):
+        systems = ((SYS, (2, 7)), (WeylSystem(5, 2), (4, 11)), (SYS, (1, 3)), (WeylSystem(3, 2), (5, 1)))
+        for system, shift in systems:
             d = system.dim
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             generic = g @ g.conj().T / np.trace(g @ g.conj().T)
@@ -209,6 +304,7 @@ class TestGaussianDensities:
                 table = char_table(system, rho)
                 pointwise = [[char_value(system, rho, a, b) for b in range(d)] for a in range(d)]
                 assert np.abs(table - np.array(pointwise)).max() < 1e-12
+        assert systems[3][0] == SYS and hash(systems[3][0]) == hash(SYS)
 
     @pytest.mark.parametrize("e1,e2", [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)])
     def test_char_is_subgroup_indicator(self, e1, e2):
@@ -376,6 +472,24 @@ class TestWindowMask:
                         slope_only["outer" if in_inner else "inner"] += 1
         assert fitting == set(window_lattices(system))
         assert min(slope_only.values()) > 0
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2)])
+    def test_lattice_operations_are_mask_operations(self, p, n):
+        # on every ordered pair of window lattices: the mask of L1 & L2 is the AND of the masks, the
+        # mask of L1 + L2 is their subgroup sum (the support of the cyclic convolution, one fft2
+        # product), and L1.issubset(L2) is the inclusion of masks; the window is closed under & and +
+        system = WeylSystem(p, n)
+        lattices = window_lattices(system)
+        masks = np.array([_window_mask(system, lat) for lat in lattices])
+        mask_of = dict(zip(lattices, masks))
+        spectra = np.fft.rfft2(masks)
+        for one, mask, spectrum in zip(lattices, masks, spectra):
+            meets = np.array([mask_of[one & two] for two in lattices])
+            assert np.array_equal(meets, mask & masks), one
+            joins = np.array([mask_of[one + two] for two in lattices])
+            assert np.array_equal(joins, np.fft.irfft2(spectrum * spectra, s=mask.shape) > 0.5), one
+            inclusions = [one.issubset(two) for two in lattices]
+            assert inclusions == (~(mask & ~masks).any(axis=(1, 2))).tolist(), one
 
 
 class TestShiftClasses:
