@@ -142,8 +142,7 @@ class GaussianChannel:
         can never exceed 1 for an admissible channel, so a violation here
         is a logic bug, not bad input.
         """
-        if state.p != self.p:
-            raise ValueError(f"prime mismatch: state at {state.p}, channel at {self.p}")
+        state.lattice._require_same_prime(self._noise)
         out = state.lattice._pulled_back(self._adjugate, self._gain) & self._noise
         if out.a + out.b < 0:
             raise InvariantViolation(

@@ -19,11 +19,14 @@ a mask with the mask of the exact dual. One builder makes every density,
 p^(-N) * sum of W(-z) over a point set S, as one inverse DFT over z2 of the rows
 z1 that meet S, scattered in place: the image of a state lattice gives an exact
 Gaussian state, its pullback by K within the noise image a channel output.
-Spectra are solved per coset block of the matrix's own nonzero offsets; a channel
-scan solves each distinct output density once, as built, and checks every case
-against its own exact prediction. char_table's index and twist are built once per
-system. The CCR defect of the dense matrices has its norm read off as its largest
-|entry| when it is monomial, by SVD otherwise.
+Every phase is read from one table of the p^N roots of unity, built once per
+system. Spectra take one path, a stacked solve over the coset blocks of the
+matrix's own nonzero offsets (one block is the full solve); a channel scan
+solves each distinct output density once, as built, and checks every case
+against its own exact prediction. The CCR check takes every pair when phase
+space has at most 81 points, else 500 seeded pairs, and reads the norm of a
+monomial defect off its largest |entry| (SVD otherwise). The exact layer owns the
+rules: GaussianState refuses measure > 1, adelic.gain_exponent gives the gain.
 
 Everything here is floating point by design; tolerances are carried by
 the callers. The exact modules never import this one.
@@ -39,9 +42,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotAStateError
+from .adelic import gain_exponent
+from .channels import GaussianState
 from .lattice import Lattice, Mat2
-from .padic import _ratio_valuation, require_prime, valuation
+from .padic import require_prime, valuation
 
 __all__ = [
     "DIMENSION_CAP",
@@ -68,6 +72,9 @@ DIMENSION_CAP = 343
 EIGENVALUE_FLOOR = 1e-12
 PSD_TOLERANCE = 1e-9
 WITNESS_TOLERANCE = 1e-6
+
+_CCR_GRID_POINTS = 81  # ccr_scan checks every pair when phase space has at most this many points
+_CCR_SAMPLE = 500  # else this many seeded pairs
 
 
 @dataclass(frozen=True)
@@ -107,11 +114,16 @@ class WeylSystem:
         """Half-width m = N/2 of the exponent window."""
         return self.N // 2
 
-    @cached_property  # stored in the instance __dict__: equality and hashing stay on (p, N)
+    @cached_property  # in the instance __dict__, like _char_grids: equality and hashing stay on (p, N)
+    def _roots(self) -> np.ndarray:
+        """The p**N roots of unity: entry k is exp(2*pi*i*k/p**N)."""
+        return np.exp(2j * np.pi * np.arange(self.dim) / self.dim)
+
+    @cached_property
     def _char_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """char_table's tables: the flat index of rho[x + a, x] at [a, x], the twist at [a, b]."""
         d, x = self.dim, np.arange(self.dim)
-        return (x[:, None] + x) % d * d + x, np.exp(2j * np.pi * x / d)[(self.half * np.outer(x, x)) % d]
+        return (x[:, None] + x) % d * d + x, self._roots[(self.half * np.outer(x, x)) % d]
 
 
 def _weyl_entries(system: WeylSystem, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +132,7 @@ def _weyl_entries(system: WeylSystem, a: int, b: int) -> tuple[np.ndarray, np.nd
     a %= d
     b %= d
     x = np.arange(d)
-    return np.exp(2j * np.pi * ((b * x + system.half * a * b) % d) / d), (x + a) % d
+    return system._roots[(b * x + system.half * a * b) % d], (x + a) % d
 
 
 def weyl_operator(system: WeylSystem, a: int, b: int) -> np.ndarray:
@@ -133,10 +145,9 @@ def weyl_operator(system: WeylSystem, a: int, b: int) -> np.ndarray:
 
 def ccr_deviation(system: WeylSystem, z1: tuple[int, int], z2: tuple[int, int]) -> float:
     """Operator-norm defect of W(z1) W(z2) = phase * W(z1 + z2)."""
-    d = system.dim
     (a1, b1), (a2, b2) = z1, z2
     lhs = weyl_operator(system, a1, b1) @ weyl_operator(system, a2, b2)
-    phase = np.exp(2j * np.pi * ((system.half * (a1 * b2 - b1 * a2)) % d) / d)
+    phase = system._roots[system.half * (a1 * b2 - b1 * a2) % system.dim]
     rhs = phase * weyl_operator(system, a1 + a2, b1 + b2)
     return _operator_norm(lhs - rhs)
 
@@ -149,18 +160,15 @@ def _operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def ccr_scan(system: WeylSystem, sample: int | None = None, seed: int = 0) -> tuple[float, int]:
-    """Max CCR defect over pairs of phase-space points.
+def ccr_scan(system: WeylSystem, seed: int = 0) -> tuple[float, int]:
+    """Max CCR defect over pairs of phase-space points, and the number of pairs checked.
 
-    With sample=None the full pair grid is used; that is only sensible
-    when the phase space is tiny (d**2 <= 81), so larger systems should
-    pass a positive sample size. Returns (max deviation, number of pairs checked).
+    Every pair when phase space has at most 81 points (p**N = 9), else 500 pairs
+    drawn from random.Random(seed); the seed does not matter for the full grid.
     """
-    if sample is not None and sample <= 0:
-        raise ValueError(f"sample must be positive, got {sample}")
     d = system.dim
-    points = [(a, b) for a in range(d) for b in range(d)]
-    if sample is None:
+    if d * d <= _CCR_GRID_POINTS:
+        points = [(a, b) for a in range(d) for b in range(d)]
         pairs = [(z1, z2) for z1 in points for z2 in points]
     else:
         rng = random.Random(seed)
@@ -169,14 +177,9 @@ def ccr_scan(system: WeylSystem, sample: int | None = None, seed: int = 0) -> tu
                 (rng.randrange(d), rng.randrange(d)),
                 (rng.randrange(d), rng.randrange(d)),
             )
-            for _ in range(sample)
+            for _ in range(_CCR_SAMPLE)
         ]
-    worst = 0.0
-    for z1, z2 in pairs:
-        dev = ccr_deviation(system, z1, z2)
-        if dev > worst:
-            worst = dev
-    return worst, len(pairs)
+    return max(ccr_deviation(system, z1, z2) for z1, z2 in pairs), len(pairs)
 
 
 def _fits_window(system: WeylSystem, lat: Lattice) -> bool:
@@ -225,14 +228,12 @@ def gaussian_density(
     """Density matrix of the finite Gaussian state of diag(p^exponent1, p^exponent2) * L0.
 
     The density is p^(-N) * sum of W(-z) over the window image S of that lattice, conjugated
-    by W(shift). Requires window exponents in [-m, m] (ValueError) and exponent1 + exponent2
-    >= 0 (otherwise the sum is not positive and no state exists).
+    by W(shift). Requires window exponents in [-m, m] (ValueError) and a lattice that
+    GaussianState accepts, of measure <= 1 (NotAStateError, with that class's message).
     """
-    mask = _window_mask(system, exponent_lattice(system.p, exponent1, exponent2))
-    if exponent1 + exponent2 < 0:
-        raise NotAStateError(
-            f"exponent sum {exponent1 + exponent2} < 0: subgroup is not isotropic"
-        )
+    lat = exponent_lattice(system.p, exponent1, exponent2)
+    mask = _window_mask(system, lat)
+    GaussianState(lat)  # the exact layer's state rule
     rho = _subgroup_density(system, mask)
     if shift != (0, 0):  # W rho W^H for monomial W is a gather of rho and two phase scalings
         phases, cols = _weyl_entries(system, *shift)
@@ -277,12 +278,11 @@ def _dual_deviation(system: WeylSystem, lat: Lattice) -> float:
 
 def _block_spectrum(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian h of size d, one block per coset of gZ in Z/d:
-    g = gcd(d, every x - y with h[x, y] != 0), so no nonzero entry leaves its block."""
+    g = gcd(d, every x - y with h[x, y] != 0), so no nonzero entry leaves its block.
+    g = 1 gives one block, the full solve."""
     d = len(h)
     x, y = np.nonzero(h != 0)
     g = int(np.gcd.reduce(x - y, initial=d))
-    if g == 1:
-        return np.linalg.eigvalsh(h)
     # index q*g + r lies in coset r: block r is h[q*g + r, q'*g + r] over q, q'
     blocks = h.reshape(d // g, g, d // g, g).diagonal(0, 1, 3).transpose(2, 0, 1)
     return np.sort(np.linalg.eigvalsh(blocks), axis=None)
@@ -394,11 +394,11 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
     """
     p, d = system.p, system.dim
     k_int = _int_matrix(transform)
-    num, den = transform._det_ratio()
+    gain = gain_exponent(transform, p)  # refuses a singular K before a noise outside the window
     a0, b0 = noise_exponents
     noise_lat = exponent_lattice(p, a0, b0)
     noise_mask = _window_mask(system, noise_lat)  # ValueError when the noise leaves the window
-    adjugate, gain = transform.adjugate(), _ratio_valuation(den, num, p)  # gain = -v_p(det K)
+    adjugate = transform.adjugate()
 
     z = np.arange(d)
     ka, kb, kc, kd = (v % d for v in k_int)
@@ -462,10 +462,7 @@ def run_battery(
         raise ValueError(f"max_cases must be non-negative, got {max_cases}")
     p = system.p
 
-    if system.dim <= 9:
-        ccr_dev, ccr_pairs = ccr_scan(system)
-    else:
-        ccr_dev, ccr_pairs = ccr_scan(system, sample=500, seed=seed)
+    ccr_dev, ccr_pairs = ccr_scan(system, seed=seed)
 
     states = []
     states_ok = True

@@ -146,12 +146,11 @@ def test_criterion_5_adelic_sum_zero():
 
 def test_criterion_6_oracle_ccr():
     with criterion(6, "finite Weyl composition rule under 1e-10"):
-        # full pair grid only where the phase-space grid is small (81 points);
-        # the larger systems get 500 seeded sample pairs
+        # ccr_scan's policy: the full pair grid at 81 phase-space points, 500 seeded pairs above
         dev, pairs = ccr_scan(WeylSystem(3, 2))
         assert pairs == 9**4 and dev < 1e-10
         for p, n in ((5, 2), (7, 2), (3, 4)):
-            dev, pairs = ccr_scan(WeylSystem(p, n), sample=500, seed=0)
+            dev, pairs = ccr_scan(WeylSystem(p, n))
             assert pairs == 500 and dev < 1e-10
 
 

@@ -320,7 +320,7 @@ class TestChannelApplication:
 
     def test_prime_mismatch(self):
         chan = GaussianChannel(Mat2.identity(), standard_lattice(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="prime mismatch"):
             chan.apply(GaussianState(standard_lattice(5)))
 
     def test_output_is_always_a_state(self):
@@ -344,6 +344,23 @@ class TestChannelApplication:
             chan = GaussianChannel(s, pulled + standard_lattice(3))
             out = chan.apply(state)
             assert out.entropy() == state.entropy()
+
+
+class TestRuntimeInvariants:
+    """Each output check fires on a planted fault; the plant lives only inside the test."""
+
+    def test_apply_refuses_an_output_above_measure_one(self, monkeypatch):
+        chan = GaussianChannel(Mat2.diagonal(3, 1), standard_lattice(3))
+        monkeypatch.setattr(Lattice, "__and__", lambda lat, other: Lattice._from_canonical(-1, 0, 0, lat.p))
+        with pytest.raises(InvariantViolation, match=r"^admissible channel produced output measure 3 > 1$"):
+            chan.apply(GaussianState(standard_lattice(3)))
+
+    def test_witness_refuses_an_output_off_the_pullback(self, monkeypatch):
+        chan = GaussianChannel(Mat2.diagonal(3, 1), standard_lattice(3))
+        intersect = Lattice.__and__
+        monkeypatch.setattr(Lattice, "__and__", lambda lat, other: intersect(lat, other).scaled(1))
+        with pytest.raises(InvariantViolation, match="witness output lattice"):
+            chan.entropy_gain_witness(chan.witness_threshold())
 
 
 class TestGainLaw:

@@ -15,7 +15,7 @@ import pytest
 import qpadic.cli as cli
 import qpadic.oracle
 from qpadic.errors import InvariantViolation
-from qpadic.lattice import Mat2
+from qpadic.lattice import Lattice, Mat2
 from qpadic.padic import valuation
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -99,6 +99,11 @@ class TestExitCodes:
         code, out, err = run_cli(["adelic", "--K", "2,0;0,1"])
         assert code == 2
         assert "forced" in err
+
+    def test_apply_invariant_violation_is_two(self, monkeypatch):
+        monkeypatch.setattr(Lattice, "__and__", lambda lat, other: Lattice._from_canonical(-1, 0, 0, lat.p))
+        args = ["channel", "apply", "--p", "3", "--K", "3,0;0,1", "--L", "1,0;0,1", "--state", "1,0;0,1"]
+        assert run_cli(args) == (2, "", "invariant violation: admissible channel produced output measure 3 > 1\n")
 
     def test_inadmissible_channel_is_one(self):
         # measure-3 noise with |1 - det|_3 = 1 breaks the exact inequality

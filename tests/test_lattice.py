@@ -15,6 +15,7 @@ import qpadic.lattice
 import qpadic.padic
 from qpadic.adelic import adelic_report, gain_exponent
 from qpadic.channels import GaussianChannel, GaussianState, channel_validity
+from qpadic.errors import InvariantViolation
 from qpadic.lattice import (
     STANDARD_J,
     Lattice,
@@ -412,6 +413,13 @@ class TestSymplecticStructure:
                 s = symplectic_transport(src, dst)
                 assert s.det() == 1
                 assert src.transformed(s) == dst
+
+    def test_transport_postcondition_fires(self, monkeypatch):
+        src = Lattice(Mat2.parse("3,0;1,9"), 3)
+        dst = src.transformed(Mat2(1, 1, 0, 1))
+        monkeypatch.setattr(Mat2, "inverse", lambda m: Mat2.identity())
+        with pytest.raises(InvariantViolation, match="transport postcondition"):
+            symplectic_transport(src, dst)
 
     def test_transport_requires_equal_measure(self):
         a = Lattice(Mat2.diagonal(3, 1), 3)

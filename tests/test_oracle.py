@@ -8,6 +8,7 @@ shift -p^m * alpha mod p^N.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -175,16 +176,41 @@ class TestWeylOperators:
 
     def test_sampled_scan_is_seeded(self):
         s52 = WeylSystem(5, 2)
-        dev1, n1 = ccr_scan(s52, sample=100, seed=3)
-        dev2, n2 = ccr_scan(s52, sample=100, seed=3)
+        dev1, n1 = ccr_scan(s52, seed=3)
+        dev2, n2 = ccr_scan(s52, seed=3)
         assert (dev1, n1) == (dev2, n2)
-        assert n1 == 100 and dev1 < 1e-10
+        assert n1 == 500 and dev1 < 1e-10
 
-    @pytest.mark.parametrize("sample", [0, -3])
-    def test_empty_sample_is_refused(self, sample):
-        # an empty sample used to report a vacuous (0.0, 0)
-        with pytest.raises(ValueError, match="sample must be positive"):
-            ccr_scan(SYS, sample=sample)
+    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
+    def test_pair_policy(self, monkeypatch, p, n):
+        # every pair at 81 phase-space points, whatever the seed; above that, 500 pairs drawn
+        # from random.Random(seed) in the order a1, b1, a2, b2
+        system, d = WeylSystem(p, n), p**n
+        seen = []
+        monkeypatch.setattr(qpadic.oracle, "ccr_deviation", lambda s, z1, z2: seen.append((z1, z2)) or 0.0)
+        for seed in (0, 7):
+            seen.clear()
+            assert ccr_scan(system, seed=seed) == (0.0, len(seen))
+            if d * d <= 81:
+                points = [(a, b) for a in range(d) for b in range(d)]
+                assert seen == [(z1, z2) for z1 in points for z2 in points]
+            else:
+                rng = random.Random(seed)
+                draw = [tuple(rng.randrange(d) for _ in range(4)) for _ in range(500)]
+                assert seen == [((a1, b1), (a2, b2)) for a1, b1, a2, b2 in draw]
+
+    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
+    def test_phases_come_from_the_root_table(self, p, n):
+        # bitwise: entry k of the table is exp(2*pi*i*k/d), evaluated at every index this call reads
+        system = WeylSystem(p, n)
+        d, h, x = system.dim, system.half, np.arange(system.dim)
+        for a in range(d):
+            for b in range(d):
+                phases, cols = qpadic.oracle._weyl_entries(system, a, b)
+                assert np.array_equal(phases, np.exp(2j * np.pi * ((b * x + h * a * b) % d) / d))
+                assert np.array_equal(cols, (x + a) % d)
+        twist = np.exp(2j * np.pi * ((h * np.outer(x, x)) % d) / d)
+        assert np.array_equal(system._char_grids[1], twist)
 
     @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
     def test_deviation_is_the_dense_operator_norm(self, p, n):
@@ -288,6 +314,21 @@ class TestGaussianDensities:
             gaussian_density(SYS, 2, 0)
         with pytest.raises(NotAStateError):
             gaussian_density(SYS, -1, 0)
+
+    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
+    def test_state_rule_is_gaussian_state(self, p, n):
+        # over the window grid the refusal is GaussianState's, message and all, exactly where e1 + e2 < 0
+        system, m = WeylSystem(p, n), n // 2
+        for e1 in range(-m, m + 1):
+            for e2 in range(-m, m + 1):
+                if e1 + e2 >= 0:
+                    gaussian_density(system, e1, e2)
+                    continue
+                with pytest.raises(NotAStateError) as want:
+                    GaussianState(exponent_lattice(p, e1, e2))
+                with pytest.raises(NotAStateError) as got:
+                    gaussian_density(system, e1, e2)
+                assert str(got.value) == str(want.value)
 
     def test_char_table_matches_pointwise_trace(self):
         # the full (a, b) grid, so a sign or index slip in the DFT shows; a
