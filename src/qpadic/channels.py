@@ -39,34 +39,36 @@ __all__ = [
 class GaussianState:
     """Gaussian state gamma(L, shift); requires measure(L) <= 1."""
 
-    __slots__ = ("lattice", "shift")
+    __slots__ = ("_lattice", "_shift")
+    lattice = property(attrgetter("_lattice"), doc="The state lattice (read-only).")
+    shift = property(attrgetter("_shift"), doc="The phase-space shift (read-only).")
 
     def __init__(self, lattice: Lattice, shift: Vec2 | None = None):
         if lattice.a + lattice.b < 0:
             raise NotAStateError(
                 f"no Gaussian state for measure {lattice.measure} > 1 (lattice {lattice.canonical})"
             )
-        self.lattice = lattice
-        self.shift = shift if shift is not None else Vec2.zero()
+        self._lattice = lattice
+        self._shift = shift if shift is not None else Vec2.zero()
 
     @property
     def p(self) -> int:
-        return self.lattice.p
+        return self._lattice.p
 
     def __eq__(self, other: object) -> bool:
         """Equal lattices and shifts equal modulo L^perp = L.dual(), on which chi is trivial."""
         if not isinstance(other, GaussianState):
             return NotImplemented
-        return self.lattice == other.lattice and self.lattice.dual().contains(self.shift - other.shift)
+        return self._lattice == other._lattice and self._lattice.dual().contains(self._shift - other._shift)
 
     def __repr__(self) -> str:
-        return f"GaussianState(p={self.p}, lattice='{self.lattice.canonical}', shift='{self.shift}')"
+        return f"GaussianState(p={self.p}, lattice='{self._lattice.canonical}', shift='{self._shift}')"
 
     def char(self, z: Vec2) -> PhaseQ | None:
         """Characteristic function at z: a PhaseQ on the lattice, else None (zero)."""
-        if not self.lattice.contains(z):
+        if not self._lattice.contains(z):
             return None
-        return additive_character(sympl(self.shift, z), self.p)
+        return additive_character(sympl(self._shift, z), self.p)
 
     def entropy(self) -> LogLedger:
         """Exact entropy ledger n * log(p) where measure = p**(-n)."""
@@ -74,15 +76,15 @@ class GaussianState:
 
     def rank_exponent(self) -> int:
         """The state is 1/rank times a projector of rank p**n; returns n."""
-        return self.lattice.a + self.lattice.b
+        return self._lattice.a + self._lattice.b
 
     def is_pure(self) -> bool:
         """Purity is exactly self-duality of the lattice."""
-        return self.lattice.is_self_dual()
+        return self._lattice.is_self_dual()
 
     def unitarily_equivalent(self, other: "GaussianState") -> bool:
         """Equal measures iff the states are unitarily equivalent; shifts never matter."""
-        self.lattice._require_same_prime(other.lattice)
+        self._lattice._require_same_prime(other._lattice)
         return self.rank_exponent() == other.rank_exponent()
 
 
@@ -142,13 +144,13 @@ class GaussianChannel:
         can never exceed 1 for an admissible channel, so a violation here
         is a logic bug, not bad input.
         """
-        state.lattice._require_same_prime(self._noise)
-        out = state.lattice._pulled_back(self._adjugate, self._gain) & self._noise
+        state._lattice._require_same_prime(self._noise)
+        out = state._lattice._pulled_back(self._adjugate, self._gain) & self._noise
         if out.a + out.b < 0:
             raise InvariantViolation(
                 f"admissible channel produced output measure {out.measure} > 1"
             )
-        shift = state.shift  # adj(K) fixes the zero shift, which every witness input has
+        shift = state._shift  # adj(K) fixes the zero shift, which every witness input has
         return GaussianState(out, shift if shift.is_zero() else self._adjugate @ shift)
 
     def entropy_gain(self) -> LogLedger:
@@ -176,7 +178,7 @@ class GaussianChannel:
             raise ValueError(f"witness index {n} is below the threshold")
         inp = GaussianState(self._noise.scaled(n))
         out = self.apply(inp)
-        if out.lattice != self._pulled.scaled(n):
+        if out._lattice != self._pulled.scaled(n):
             raise InvariantViolation("witness output lattice is not the pulled-back input")
         return out.entropy() - inp.entropy()
 

@@ -115,7 +115,7 @@ def _cmd_adelic(args) -> tuple[dict, int]:
 def _cmd_oracle(args) -> tuple[dict, int]:
     from .oracle import WeylSystem, run_battery  # the only command that loads numpy
     system = WeylSystem(args.p, args.N)
-    report = run_battery(system, seed=args.seed, max_cases=args.max_cases)
+    report = run_battery(system, max_cases=args.max_cases)
     return report, 0 if report["all_checks_pass"] else 2
 
 
@@ -170,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--p", type=int, required=True)
     orc.add_argument("--N", type=int, required=True)
     orc.add_argument("--max-cases", type=int, default=None, dest="max_cases")
-    orc.add_argument("--seed", type=int, default=0)
     _common_flags(orc)
     orc.set_defaults(run=_cmd_oracle)
 

@@ -304,11 +304,11 @@ class Lattice:
         """Write L = S * diag(p**n, 1) * L0 with det(S) = 1 exactly.
 
         The exponent pair of the normal form is fixed as (n, 0) with n = a + b, so
-        p**(-n) = measure(L). S = [[p**-b, 0], [sigma * p**-b, p**b]] maps the columns
-        p**n * (1, 0) and (0, 1) to p**a * (1, sigma) and (0, p**b), and det(S) = 1.
+        p**(-n) = measure(L). S = canonical * diag(p**-n, 1) = [[p**-b, 0], [sigma * p**-b, p**b]]
+        maps p**n * (1, 0) and (0, 1) to the canonical columns, and det(S) = p**(a + b - n) = 1.
         """
-        inv_pb = p_power(self.p, -self.b)
-        return Mat2._of(inv_pb, Fraction(0), self.slope * inv_pb, p_power(self.p, self.b)), self.a + self.b
+        n = self.a + self.b
+        return self.canonical @ Mat2.diagonal(p_power(self.p, -n), 1), n
 
 
 def standard_lattice(p: int) -> Lattice:
@@ -323,10 +323,10 @@ def symplectic_transport(src: Lattice, dst: Lattice) -> Mat2:
     orbits of the rational symplectic group). Raises ValueError otherwise.
     """
     src._require_same_prime(dst)
-    if src.a + src.b != dst.a + dst.b:
+    s1, n1 = src.symplectic_diagonalization()
+    s2, n2 = dst.symplectic_diagonalization()
+    if n1 != n2:
         raise ValueError("transport requires equal measures")
-    s1, _ = src.symplectic_diagonalization()
-    s2, _ = dst.symplectic_diagonalization()
     out = s2 @ s1.inverse()
     if src.transformed(out) != dst:
         raise InvariantViolation("transport postcondition failed")

@@ -80,7 +80,7 @@ class LogLedger:
 
     def value(self, base: float = math.e) -> float:
         """Numeric value in the given base. Exactness ends here."""
-        total = sum(e * math.log(q) for q, e in self._terms.items())
+        total = sum((e * math.log(q) for q, e in self._terms.items()), 0.0)
         return total if base == math.e else total / math.log(base)
 
     def render(self, base: str = "e") -> str:

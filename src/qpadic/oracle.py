@@ -24,9 +24,10 @@ system. Spectra take one path, a stacked solve over the coset blocks of the
 matrix's own nonzero offsets (one block is the full solve); a channel scan
 solves each distinct output density once, as built, and checks every case
 against its own exact prediction. The CCR check takes every pair when phase
-space has at most 81 points, else 500 seeded pairs, and reads the norm of a
-monomial defect off its largest |entry| (SVD otherwise). The exact layer owns the
-rules: GaussianState refuses measure > 1, adelic.gain_exponent gives the gain.
+space has at most 81 points, else 500 pairs from random.Random(0), and reads the norm
+of a monomial defect off its largest |entry| (SVD otherwise). The exact layer owns the rules:
+GaussianState refuses measure > 1 and gives each state's rank, entropy and purity, and
+adelic.gain_exponent gives the gain.
 
 Everything here is floating point by design; tolerances are carried by
 the callers. The exact modules never import this one.
@@ -74,7 +75,7 @@ PSD_TOLERANCE = 1e-9
 WITNESS_TOLERANCE = 1e-6
 
 _CCR_GRID_POINTS = 81  # ccr_scan checks every pair when phase space has at most this many points
-_CCR_SAMPLE = 500  # else this many seeded pairs
+_CCR_SAMPLE = 500  # else this many pairs from random.Random(0)
 
 
 @dataclass(frozen=True)
@@ -160,23 +161,20 @@ def _operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def ccr_scan(system: WeylSystem, seed: int = 0) -> tuple[float, int]:
+def ccr_scan(system: WeylSystem) -> tuple[float, int]:
     """Max CCR defect over pairs of phase-space points, and the number of pairs checked.
 
     Every pair when phase space has at most 81 points (p**N = 9), else 500 pairs
-    drawn from random.Random(seed); the seed does not matter for the full grid.
+    drawn from random.Random(0), the same pairs on every run.
     """
     d = system.dim
     if d * d <= _CCR_GRID_POINTS:
         points = [(a, b) for a in range(d) for b in range(d)]
         pairs = [(z1, z2) for z1 in points for z2 in points]
     else:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         pairs = [
-            (
-                (rng.randrange(d), rng.randrange(d)),
-                (rng.randrange(d), rng.randrange(d)),
-            )
+            ((rng.randrange(d), rng.randrange(d)), (rng.randrange(d), rng.randrange(d)))
             for _ in range(_CCR_SAMPLE)
         ]
     return max(ccr_deviation(system, z1, z2) for z1, z2 in pairs), len(pairs)
@@ -449,9 +447,7 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
     return cases
 
 
-def run_battery(
-    system: WeylSystem, seed: int = 0, max_cases: int | None = None
-) -> dict:
+def run_battery(system: WeylSystem, max_cases: int | None = None) -> dict:
     """Full deterministic oracle run: CCR, states, Fourier duality, channels.
 
     Returns a JSON-ready dict; 'all_checks_pass' aggregates every check at
@@ -462,24 +458,25 @@ def run_battery(
         raise ValueError(f"max_cases must be non-negative, got {max_cases}")
     p = system.p
 
-    ccr_dev, ccr_pairs = ccr_scan(system, seed=seed)
+    ccr_dev, ccr_pairs = ccr_scan(system)
 
     states = []
     states_ok = True
     for e1, e2 in _state_exponents(system):
-        n = e1 + e2
+        state = GaussianState(exponent_lattice(p, e1, e2))
+        n = state.rank_exponent()
         rho = gaussian_density(system, e1, e2)
         lams = validate_density(rho)
         spectrum_dev = _flat_deviation(lams, p, n)
         ent = _entropy(lams)
-        expected_ent = n * float(np.log(p))
+        expected_ent = state.entropy().value()
         char_dev = char_indicator_deviation(system, rho, e1, e2)
         pure = abs(float((lams**2).sum()) - 1) < 1e-10
         ok = (
             spectrum_dev < 1e-10
             and abs(ent - expected_ent) < 1e-9
             and char_dev < 1e-10
-            and pure == (n == 0)
+            and pure == state.is_pure()
         )
         states_ok = states_ok and ok
         states.append(

@@ -101,6 +101,24 @@ class TestStateValidity:
                     with pytest.raises(NotAStateError):
                         GaussianState(lat)
 
+    def test_fields_refuse_assignment(self):
+        # a state whose lattice could be swapped afterwards would escape the measure <= 1 rule
+        s = GaussianState(standard_lattice(3), Vec2(1, 2))
+        with pytest.raises(AttributeError):
+            s.lattice = standard_lattice(3).scaled(-1)
+        with pytest.raises(AttributeError):
+            s.shift = Vec2.zero()
+        for field in ("lattice", "shift"):
+            with pytest.raises(AttributeError):
+                delattr(s, field)
+        assert s.lattice == standard_lattice(3) and s.shift == Vec2(1, 2) and s.entropy().is_zero()
+
+    def test_repr_text(self):
+        s = GaussianState(Lattice(Mat2.parse("3,0;1,9"), 3), Vec2(1, Fraction(1, 3)))
+        assert repr(s) == "GaussianState(p=3, lattice='3,0;1,9', shift='1,1/3')"
+        chan = GaussianChannel(Mat2.diagonal(3, 1), standard_lattice(3))
+        assert repr(chan) == "GaussianChannel(p=3, transform='3,0;0,1', noise='1,0;0,1')"
+
 
 class TestCharacteristicFunction:
     def test_indicator_off_lattice(self):
@@ -695,6 +713,16 @@ class TestLedger:
         assert led.render("2") == "-1*log2(3)"
         assert LogLedger.zero().render("10") == "0"
         assert LogLedger({2: 2, 5: 1}).render() == "2*ln(2) + 1*ln(5)"
+
+    def test_value_is_a_float(self):
+        for led in (LogLedger.zero(), LogLedger({3: 2})):
+            assert type(led.value()) is float and type(led.value(2)) is float
+        assert LogLedger.zero().value() == 0.0
+
+    def test_hash_and_repr(self):
+        assert hash(LogLedger({3: 1, 5: 0})) == hash(LogLedger.single(3, 1))
+        assert repr(LogLedger({5: -2, 3: 1})) == "LogLedger({3: 1, 5: -2})"
+        assert len({LogLedger({3: 1, 5: 0}), LogLedger.single(3, 1), LogLedger.zero()}) == 2
 
     def test_rejects_bad_terms(self):
         with pytest.raises(ValueError):

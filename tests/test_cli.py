@@ -157,7 +157,7 @@ class TestFormats:
 
 
 class TestFlags:
-    """--format is common to all twelve subcommands; --log-base and --seed exist only where read."""
+    """--format is common to all twelve subcommands; --log-base exists only where read, --seed nowhere."""
 
     COMMANDS = {
         " ".join(args[: 1 if args[0] == "adelic" else 2]): args for args in GOLDEN_CASES.values()
@@ -165,7 +165,7 @@ class TestFlags:
         "lattice selfdual": ["lattice", "selfdual", "--p", "3", "--basis", "1,0;0,1"],
         "oracle": ["oracle", "--p", "3", "--N", "2", "--max-cases", "1"],
     }
-    READERS = {"--log-base=2": ("channel gain", "channel apply"), "--seed=1": ("oracle",)}
+    READERS = {"--log-base=2": ("channel gain", "channel apply"), "--seed=1": ()}
 
     def test_twelve_subcommands(self):
         assert len(self.COMMANDS) == 12
@@ -181,20 +181,6 @@ class TestFlags:
     def test_format_is_common(self, name):
         code, out, err = run_cli(self.COMMANDS[name] + ["--format", "text"])
         assert code == 0 and err == "" and out
-
-    def test_seed_reaches_the_battery(self, monkeypatch):
-        seeds = []
-        battery = qpadic.oracle.run_battery
-
-        def recording(system, seed, max_cases):
-            seeds.append(seed)
-            return battery(system, seed=seed, max_cases=max_cases)
-
-        monkeypatch.setattr(qpadic.oracle, "run_battery", recording)
-        for extra in ([], ["--seed", "7"]):
-            code, out, err = run_cli(self.COMMANDS["oracle"] + extra)
-            assert code == 0 and err == "" and json.loads(out)["all_checks_pass"]
-        assert seeds == [0, 7]
 
 
 class TestOracleCommand:

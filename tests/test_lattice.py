@@ -183,6 +183,9 @@ class TestVecMat:
         m = Mat2(1, 2, 3, 4)
         assert m @ Vec2(5, 6) == Vec2(17, 39)
 
+    def test_negation(self):
+        assert -Vec2(1, 2) == Vec2(-1, -2) and -Vec2.zero() == Vec2.zero()
+
     def test_sympl_is_standard_form(self):
         rng = random.Random(8)
         for _ in range(50):
@@ -204,6 +207,13 @@ class TestCanonicalForm:
         assert Lattice(Mat2.parse("3,0;0,1"), 3).measure == Fraction(1, 3)
         assert Lattice(Mat2.parse("1/2,0;0,4"), 2).measure == Fraction(1, 2)
         assert standard_lattice(11).measure == 1
+
+    def test_repr_and_unknown_attribute(self):
+        lat = Lattice(Mat2.parse("0,3;9,1"), 3)
+        assert repr(lat) == "Lattice(p=3, canonical='3,0;1,9')"
+        # __getattr__ fills only the empty canonical and basis slots; any other name is an error
+        with pytest.raises(AttributeError, match="^'Lattice' object has no attribute 'sigma'$"):
+            lat.sigma
 
     def test_column_order_is_irrelevant(self):
         a = Lattice(Mat2.parse("0,3;3,0"), 3)

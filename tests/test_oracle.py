@@ -20,6 +20,7 @@ import qpadic.padic
 from qpadic.channels import GaussianState
 from qpadic.errors import NotAStateError
 from qpadic.lattice import Lattice, Mat2, Vec2, standard_lattice
+from qpadic.ledger import LogLedger
 from qpadic.padic import Prime
 from qpadic.oracle import (
     WeylSystem,
@@ -176,28 +177,26 @@ class TestWeylOperators:
 
     def test_sampled_scan_is_seeded(self):
         s52 = WeylSystem(5, 2)
-        dev1, n1 = ccr_scan(s52, seed=3)
-        dev2, n2 = ccr_scan(s52, seed=3)
+        dev1, n1 = ccr_scan(s52)
+        dev2, n2 = ccr_scan(s52)
         assert (dev1, n1) == (dev2, n2)
         assert n1 == 500 and dev1 < 1e-10
 
     @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
     def test_pair_policy(self, monkeypatch, p, n):
-        # every pair at 81 phase-space points, whatever the seed; above that, 500 pairs drawn
-        # from random.Random(seed) in the order a1, b1, a2, b2
+        # every pair at 81 phase-space points; above that, 500 pairs drawn from
+        # random.Random(0) in the order a1, b1, a2, b2
         system, d = WeylSystem(p, n), p**n
         seen = []
         monkeypatch.setattr(qpadic.oracle, "ccr_deviation", lambda s, z1, z2: seen.append((z1, z2)) or 0.0)
-        for seed in (0, 7):
-            seen.clear()
-            assert ccr_scan(system, seed=seed) == (0.0, len(seen))
-            if d * d <= 81:
-                points = [(a, b) for a in range(d) for b in range(d)]
-                assert seen == [(z1, z2) for z1 in points for z2 in points]
-            else:
-                rng = random.Random(seed)
-                draw = [tuple(rng.randrange(d) for _ in range(4)) for _ in range(500)]
-                assert seen == [((a1, b1), (a2, b2)) for a1, b1, a2, b2 in draw]
+        assert ccr_scan(system) == (0.0, len(seen))
+        if d * d <= 81:
+            points = [(a, b) for a in range(d) for b in range(d)]
+            assert seen == [(z1, z2) for z1 in points for z2 in points]
+        else:
+            rng = random.Random(0)
+            draw = [tuple(rng.randrange(d) for _ in range(4)) for _ in range(500)]
+            assert seen == [((a1, b1), (a2, b2)) for a1, b1, a2, b2 in draw]
 
     @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
     def test_phases_come_from_the_root_table(self, p, n):
@@ -826,9 +825,30 @@ class TestBattery:
     def test_battery_is_deterministic(self):
         import json
 
-        a = json.dumps(run_battery(SYS, seed=1), sort_keys=True)
-        b = json.dumps(run_battery(SYS, seed=1), sort_keys=True)
+        a = json.dumps(run_battery(SYS), sort_keys=True)
+        b = json.dumps(run_battery(SYS), sort_keys=True)
         assert a == b
+
+    def test_expected_entropy_is_the_ledger_value(self, battery):
+        # the ledger value of GaussianState.entropy() is a float, bitwise n * log(p)
+        for row in battery["states"]:
+            assert row["expected_entropy_nats"] == sum(row["exponents"]) * math.log(SYS.p)
+            assert type(row["expected_entropy_nats"]) is float
+
+    @pytest.mark.parametrize(
+        "name,fault",
+        [
+            ("entropy", lambda s: LogLedger.single(s.p, s.rank_exponent() + min(s.rank_exponent(), 1))),
+            ("is_pure", lambda s: s.lattice.a == 0),
+            ("rank_exponent", lambda s: max(s.lattice.a, s.lattice.b)),
+        ],
+    )
+    def test_a_fault_in_the_exact_state_facts_fails(self, monkeypatch, name, fault):
+        # the CCR grid is most of the battery's time and reads no state fact
+        monkeypatch.setattr(qpadic.oracle, "ccr_scan", lambda system: (0.0, 0))
+        assert run_battery(SYS, max_cases=0)["all_checks_pass"] is True
+        monkeypatch.setattr(GaussianState, name, fault)
+        assert run_battery(SYS, max_cases=0)["all_checks_pass"] is False
 
     def test_pure_exactly_at_exponent_sum_zero(self, battery):
         for rows in (battery["states"], run_battery(WeylSystem(3, 4), max_cases=0)["states"]):
