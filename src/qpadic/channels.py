@@ -141,17 +141,15 @@ class GaussianChannel:
 
         The shift rule comes from the exact 2x2 identity
         sympl(alpha, K z) = sympl(adj(K) alpha, z). The output measure
-        can never exceed 1 for an admissible channel, so a violation here
-        is a logic bug, not bad input.
+        can never exceed 1 for an admissible channel, so GaussianState
+        refusing the output is a logic bug, not bad input.
         """
-        state._lattice._require_same_prime(self._noise)
-        out = state._lattice._pulled_back(self._adjugate, self._gain) & self._noise
-        if out.a + out.b < 0:
-            raise InvariantViolation(
-                f"admissible channel produced output measure {out.measure} > 1"
-            )
+        out = state._lattice._pulled_back(self._adjugate, self._gain) & self._noise  # & owns the prime rule
         shift = state._shift  # adj(K) fixes the zero shift, which every witness input has
-        return GaussianState(out, shift if shift.is_zero() else self._adjugate @ shift)
+        try:
+            return GaussianState(out, shift if shift.is_zero() else self._adjugate @ shift)
+        except NotAStateError:
+            raise InvariantViolation(f"admissible channel produced output measure {out.measure} > 1") from None
 
     def entropy_gain(self) -> LogLedger:
         """Exact entropy gain: log of |det K|_p, i.e. exponent -v_p(det K)."""

@@ -98,7 +98,7 @@ def _cmd_channel(args) -> tuple[dict, int]:
     if args.action == "threshold":
         return {"threshold": channel.witness_threshold()}, 0
     state_lat = _parse_lattice(args.state, p)
-    shift = Vec2.parse(args.shift) if args.shift else Vec2.zero()
+    shift = Vec2.parse(args.shift) if args.shift is not None else Vec2.zero()
     out = channel.apply(GaussianState(state_lat, shift))
     return {
         "basis": str(out.lattice.canonical),
@@ -119,37 +119,32 @@ def _cmd_oracle(args) -> tuple[dict, int]:
     return report, 0 if report["all_checks_pass"] else 2
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="qpadic", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True, parser_class=_CliParser)
+    shared = _CliParser(add_help=False)  # flags every subcommand takes
+    shared.add_argument("--format", choices=("json", "text"), default="json")
+    at_p = _CliParser(add_help=False, parents=[shared])  # and a prime, for all but adelic
+    at_p.add_argument("--p", type=int, required=True)
 
     lat = top.add_parser("lattice", help="lattice geometry").add_subparsers(
         dest="action", required=True, parser_class=_CliParser
     )
     for action in ("measure", "dual", "selfdual", "canon"):
-        sub = lat.add_parser(action)
-        sub.add_argument("--p", type=int, required=True)
+        sub = lat.add_parser(action, parents=[at_p])
         sub.add_argument("--basis", required=True)
-        _common_flags(sub)
         sub.set_defaults(run=_cmd_lattice)
     for action in ("intersect", "sum"):
-        sub = lat.add_parser(action)
-        sub.add_argument("--p", type=int, required=True)
+        sub = lat.add_parser(action, parents=[at_p])
         sub.add_argument("--a", required=True)
         sub.add_argument("--b", required=True)
-        _common_flags(sub)
         sub.set_defaults(run=_cmd_lattice)
 
     chan = top.add_parser("channel", help="Gaussian channels").add_subparsers(
         dest="action", required=True, parser_class=_CliParser
     )
     for action in ("validate", "apply", "gain", "threshold"):
-        sub = chan.add_parser(action)
-        sub.add_argument("--p", type=int, required=True)
+        sub = chan.add_parser(action, parents=[at_p])
         sub.add_argument("--K", required=True, dest="transform")
         if action in ("validate", "apply", "threshold"):
             sub.add_argument("--L", required=True, dest="noise")
@@ -158,19 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--shift", default=None)
         if action in ("apply", "gain"):
             sub.add_argument("--log-base", choices=("e", "2", "10"), default="e", dest="log_base")
-        _common_flags(sub)
         sub.set_defaults(run=_cmd_channel)
 
-    ade = top.add_parser("adelic", help="sum-zero gain report")
+    ade = top.add_parser("adelic", help="sum-zero gain report", parents=[shared])
     ade.add_argument("--K", required=True, dest="transform")
-    _common_flags(ade)
     ade.set_defaults(run=_cmd_adelic)
 
-    orc = top.add_parser("oracle", help="finite Weyl-operator checks")
-    orc.add_argument("--p", type=int, required=True)
+    orc = top.add_parser("oracle", help="finite Weyl-operator checks", parents=[at_p])
     orc.add_argument("--N", type=int, required=True)
     orc.add_argument("--max-cases", type=int, default=None, dest="max_cases")
-    _common_flags(orc)
     orc.set_defaults(run=_cmd_oracle)
 
     return parser

@@ -9,6 +9,7 @@ in a given base is a presentation concern.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Mapping
 
 from .padic import require_prime
@@ -79,9 +80,10 @@ class LogLedger:
         return hash(tuple(self._terms.items()))
 
     def value(self, base: float = math.e) -> float:
-        """Numeric value in the given base. Exactness ends here."""
-        total = sum((e * math.log(q) for q, e in self._terms.items()), 0.0)
-        return total if base == math.e else total / math.log(base)
+        """Numeric value in the given base, a finite real > 0 other than 1. Exactness ends here."""
+        if not (isinstance(base, numbers.Real) and math.isfinite(base) and 0 < base != 1):
+            raise ValueError(f"log base must be a finite number > 0 other than 1, got {base!r}")
+        return sum((e * math.log(q) for q, e in self._terms.items()), 0.0) / math.log(base)
 
     def render(self, base: str = "e") -> str:
         """Deterministic text form, e.g. '-1*ln(3)' or '2*log2(3) + 1*log2(5)'."""

@@ -387,8 +387,8 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
     output masks coincide share one density and one eigensolve.
 
     Inputs are the centered Gaussians of the window grid, window exponent
-    pairs with a nonnegative sum; an input whose pullback or output lattice
-    leaves the window is skipped, since a clipped window would not be faithful.
+    pairs with a nonnegative sum. An input is skipped when its pullback leaves the
+    window, which would clip it; the output, pullback meet L_noise, then fits too.
     """
     p, d = system.p, system.dim
     k_int = _int_matrix(transform)
@@ -407,9 +407,9 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
     for g, h in _state_exponents(system):
         in_lat = exponent_lattice(p, g, h)
         pulled = in_lat._pulled_back(adjugate, gain)  # K^-1 L, as the channel forms it
-        out_lat = pulled & noise_lat
-        if not (_fits_window(system, pulled) and _fits_window(system, out_lat)):
+        if not _fits_window(system, pulled):
             continue
+        out_lat = pulled & noise_lat
 
         out_mask = _window_mask(system, in_lat).ravel()[kz] & noise_mask
         key = out_mask.tobytes()

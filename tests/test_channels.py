@@ -338,7 +338,7 @@ class TestChannelApplication:
 
     def test_prime_mismatch(self):
         chan = GaussianChannel(Mat2.identity(), standard_lattice(3))
-        with pytest.raises(ValueError, match="prime mismatch"):
+        with pytest.raises(ValueError, match=r"^prime mismatch: 5 vs 3$"):  # state prime first, from &
             chan.apply(GaussianState(standard_lattice(5)))
 
     def test_output_is_always_a_state(self):
@@ -370,8 +370,10 @@ class TestRuntimeInvariants:
     def test_apply_refuses_an_output_above_measure_one(self, monkeypatch):
         chan = GaussianChannel(Mat2.diagonal(3, 1), standard_lattice(3))
         monkeypatch.setattr(Lattice, "__and__", lambda lat, other: Lattice._from_canonical(-1, 0, 0, lat.p))
-        with pytest.raises(InvariantViolation, match=r"^admissible channel produced output measure 3 > 1$"):
+        refusal = r"^admissible channel produced output measure 3 > 1$"
+        with pytest.raises(InvariantViolation, match=refusal) as caught:
             chan.apply(GaussianState(standard_lattice(3)))
+        assert caught.value.__suppress_context__  # GaussianState's own refusal is not chained
 
     def test_witness_refuses_an_output_off_the_pullback(self, monkeypatch):
         chan = GaussianChannel(Mat2.diagonal(3, 1), standard_lattice(3))
@@ -718,6 +720,20 @@ class TestLedger:
         for led in (LogLedger.zero(), LogLedger({3: 2})):
             assert type(led.value()) is float and type(led.value(2)) is float
         assert LogLedger.zero().value() == 0.0
+
+    @pytest.mark.parametrize("base", [1, 1.0, True, 0, -2, float("nan"), float("inf"), -float("inf"), "2", 1j])
+    def test_value_refuses_a_bad_base(self, base):
+        for led in (LogLedger.zero(), LogLedger({3: 2})):
+            with pytest.raises(ValueError) as caught:
+                led.value(base)
+            assert str(caught.value) == f"log base must be a finite number > 0 other than 1, got {base!r}"
+
+    def test_value_in_base_e_is_the_plain_sum(self):
+        import math
+
+        for terms in ({}, {3: 1}, {2: 2, 5: -1}, {7: -3, 999983: 4}):
+            assert LogLedger(terms).value() == sum((e * math.log(q) for q, e in terms.items()), 0.0)
+        assert abs(LogLedger({3: 2}).value(Fraction(1, 3)) + 2) < 1e-15  # a base below 1 is a base
 
     def test_hash_and_repr(self):
         assert hash(LogLedger({3: 1, 5: 0})) == hash(LogLedger.single(3, 1))

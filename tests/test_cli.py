@@ -79,12 +79,18 @@ class TestExitCodes:
             ["channel", "gain", "--p", "3"],  # missing required flag
             ["lattice", "measure", "--p", "3", "--basis", "1/0,0;0,1"],
             ["oracle", "--p", "3", "--N", "2", "--max-cases", "-5"],
+            GOLDEN_CASES["channel_apply.json"] + ["--shift", ""],  # an empty literal, not the zero shift
         ],
     )
     def test_invalid_input_is_one(self, args):
         code, out, err = run_cli(args)
         assert code == 1
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("shift", ["", " "], ids=["empty", "space"])
+    def test_blank_shift_is_refused(self, shift):
+        args = GOLDEN_CASES["channel_apply.json"] + ["--shift", shift]
+        assert run_cli(args) == (1, "", f"error: vector literal must look like 'x,y', got {shift!r}\n")
 
     @pytest.mark.parametrize("flag,other", [("--K", "--L"), ("--L", "--K")])
     def test_singular_input_names_its_literal(self, flag, other):
@@ -167,8 +173,28 @@ class TestFlags:
     }
     READERS = {"--log-base=2": ("channel gain", "channel apply"), "--seed=1": ()}
 
+    REQUIRED = {
+        "adelic": "--K",
+        "channel apply": "--p, --K, --L, --state",
+        "channel gain": "--p, --K",
+        "channel threshold": "--p, --K, --L",
+        "channel validate": "--p, --K, --L",
+        "lattice canon": "--p, --basis",
+        "lattice dual": "--p, --basis",
+        "lattice intersect": "--p, --a, --b",
+        "lattice measure": "--p, --basis",
+        "lattice selfdual": "--p, --basis",
+        "lattice sum": "--p, --a, --b",
+        "oracle": "--p, --N",
+    }
+
     def test_twelve_subcommands(self):
-        assert len(self.COMMANDS) == 12
+        assert len(self.COMMANDS) == 12 and set(self.REQUIRED) == set(self.COMMANDS)
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_missing_flags_are_named_in_order(self, name):
+        error = f"error: the following arguments are required: {self.REQUIRED[name]}\n"
+        assert run_cli(name.split()) == (1, "", error)
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_unread_flags_are_refused(self, name):

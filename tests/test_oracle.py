@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import qpadic.oracle
 import qpadic.padic
+from qpadic.adelic import gain_exponent
 from qpadic.channels import GaussianState
 from qpadic.errors import NotAStateError
 from qpadic.lattice import Lattice, Mat2, Vec2, standard_lattice
@@ -25,9 +26,9 @@ from qpadic.padic import Prime
 from qpadic.oracle import (
     WeylSystem,
     _block_spectrum,
-    _dual_deviation,
     _fits_window,
     _operator_norm,
+    _state_exponents,
     _subgroup_density,
     _window_mask,
     ccr_deviation,
@@ -45,7 +46,7 @@ from qpadic.oracle import (
     weyl_operator,
 )
 
-from conftest import WINDOW_LATTICE_COUNTS, window_lattices
+from conftest import window_lattices
 
 SYS = WeylSystem(3, 2)
 BATTERY_SYSTEMS = ((3, 2), (5, 2), (7, 2), (3, 4))
@@ -113,6 +114,11 @@ def battery_transforms(p):
 
 
 NOISES = ((0, 0), (-1, 0), (1, -1))
+
+# criterion 9's scan grid at (3, 2)
+CRITERION_9_TRANSFORMS = ((1, 0, 0, 1), (1, 1, 0, 1), (2, 0, 0, 1), (3, 0, 0, 1),
+                          (1, 0, 0, 3), (3, 0, 0, 3), (3, 0, 3, 1), (2, 0, 0, 3))
+CRITERION_9_NOISES = ((0, 0), (1, 0), (1, -1), (-1, 0), (0, -1), (-1, 1))
 
 
 class TestSystemParameters:
@@ -441,14 +447,6 @@ class TestFourierDuality:
         # dual of p^2 Z x p^1 Z is p^(N-1) Z x p^(N-2) Z = p^1 Z x p^0 Z
         assert fourier_subgroup_deviation(SYS, 2, 1) < 1e-10
 
-    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
-    def test_every_window_lattice_against_exact_dual(self, p, n):
-        system = WeylSystem(p, n)
-        lattices = window_lattices(system)
-        assert (len(lattices), sum(lat.slope != 0 for lat in lattices)) == WINDOW_LATTICE_COUNTS[p, n]
-        for lat in lattices:
-            assert _dual_deviation(system, lat) < 1e-10, (lat.a, lat.b, lat.slope)
-
 
 class TestWindowMask:
     """The one mask builder against Fraction membership, and its window check."""
@@ -674,6 +672,39 @@ class TestChannelScan:
                     assert lat == want and lat.measure == want.measure
         with pytest.raises(ValueError, match="not a prime"):
             exponent_lattice(9, 0, 0)
+
+    def test_a_fitting_pullback_makes_a_fitting_output(self):
+        # the scan tests only the pullback K^-1 L_in: the output K^-1 L_in & L_noise lies in the
+        # noise, which fits, and contains p^m Z_p^2 as both do; over the battery grid and
+        # criterion 9's grid the pullback test alone skips 90 of the 1,179 inputs
+        systems = [WeylSystem(p, n) for p, n in BATTERY_SYSTEMS]
+        grid = [(system, k, noise) for system in systems for k in battery_transforms(system.p) for noise in NOISES]
+        grid += [(SYS, k, noise) for k in CRITERION_9_TRANSFORMS for noise in CRITERION_9_NOISES]
+        inputs = skipped = unfit_outputs = 0
+        for system, k, noise in grid:
+            transform, noise_lat = Mat2(*k), exponent_lattice(system.p, *noise)
+            adjugate, gain = transform.adjugate(), gain_exponent(transform, system.p)
+            for e in _state_exponents(system):
+                pulled = exponent_lattice(system.p, *e)._pulled_back(adjugate, gain)
+                inputs += 1
+                if not _fits_window(system, pulled):
+                    skipped += 1
+                else:
+                    unfit_outputs += not _fits_window(system, pulled & noise_lat)
+        assert (len(grid), inputs, skipped, unfit_outputs) == (156, 1179, 90, 0)
+
+    def test_one_window_test_per_input(self, monkeypatch):
+        # per scan: one test of each input's pullback, one in the noise mask, one in each kept input's mask
+        fits = count_calls(monkeypatch, qpadic.oracle, "_fits_window")
+        inputs = len(_state_exponents(SYS))
+        kept = 0
+        for k in CRITERION_9_TRANSFORMS:
+            for noise in CRITERION_9_NOISES:
+                fits.clear()
+                cases = channel_scan(SYS, Mat2(*k), noise)
+                assert len(fits) == inputs + 1 + len(cases)
+                kept += len(cases)
+        assert (kept, inputs * len(CRITERION_9_TRANSFORMS) * len(CRITERION_9_NOISES) - kept) == (252, 36)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
     def test_shared_masks_keep_their_own_spectra(self, p, n, monkeypatch):
