@@ -307,7 +307,7 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
 
 def _entropy(spectrum: np.ndarray) -> float:
     lams = spectrum[spectrum > EIGENVALUE_FLOOR]
-    return float(-(lams * np.log(lams)).sum())
+    return 0.0 - float((lams * np.log(lams)).sum())  # not -x, which is -0.0 on a pure spectrum
 
 
 def _flat_deviation(spectrum: np.ndarray, p: int, n: int) -> float:
@@ -335,45 +335,19 @@ def _state_exponents(system: WeylSystem) -> list[tuple[int, int]]:
 
 @dataclass
 class ScanCase:
-    """One (transform, noise, input) evaluation of the finite channel."""
+    """One (transform, noise, input) evaluation of the finite channel; its fields are the report keys."""
 
     transform: tuple[int, int, int, int]
-    noise_exponents: tuple[int, int]
-    input_exponents: tuple[int, int]
+    noise: tuple[int, int]
+    input: tuple[int, int]
     trace: float
-    min_eigenvalue: float
+    min_eig: float
     spectrum: list[float]
     entropy_nats: float | None
     output_exponent: int
-    expected_valid: bool
+    expected_predicate: bool
     psd: bool
     agree: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "transform": list(self.transform),
-            "noise": list(self.noise_exponents),
-            "input": list(self.input_exponents),
-            "trace": self.trace,
-            "min_eig": self.min_eigenvalue,
-            "spectrum": self.spectrum,
-            "entropy_nats": self.entropy_nats,
-            "output_exponent": self.output_exponent,
-            "expected_predicate": self.expected_valid,
-            "psd": self.psd,
-            "agree": self.agree,
-        }
-
-
-def _int_matrix(transform: Mat2) -> tuple[int, int, int, int]:
-    entries = []
-    for q in (transform.a, transform.b, transform.c, transform.d):
-        if q.denominator != 1:
-            raise ValueError(
-                "finite scan needs an integer transform; clear unit denominators first"
-            )
-        entries.append(int(q))
-    return tuple(entries)
 
 
 def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int, int]) -> list[ScanCase]:
@@ -391,7 +365,10 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
     window, which would clip it; the output, pullback meet L_noise, then fits too.
     """
     p, d = system.p, system.dim
-    k_int = _int_matrix(transform)
+    entries = (transform.a, transform.b, transform.c, transform.d)
+    if any(q.denominator != 1 for q in entries):
+        raise ValueError("finite scan needs an integer transform; clear unit denominators first")
+    k_int = tuple(map(int, entries))
     gain = gain_exponent(transform, p)  # refuses a singular K before a noise outside the window
     a0, b0 = noise_exponents
     noise_lat = exponent_lattice(p, a0, b0)
@@ -419,11 +396,11 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
             solved[key] = spectrum, float(spectrum.min()), float(np.real(np.trace(rho)))
         spectrum, min_eig, trace = solved[key]
         n_out = out_lat.a + out_lat.b
-        expected_valid = n_out >= 0
+        expected_predicate = n_out >= 0
         psd = min_eig >= -PSD_TOLERANCE
 
         entropy: float | None = None
-        if expected_valid:
+        if expected_predicate:
             agree = psd and _flat_deviation(spectrum, p, n_out) < 1e-9
             if psd:
                 entropy = _entropy(spectrum)
@@ -432,14 +409,14 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
         cases.append(
             ScanCase(
                 transform=k_int,
-                noise_exponents=(a0, b0),
-                input_exponents=(g, h),
+                noise=(a0, b0),
+                input=(g, h),
                 trace=trace,
-                min_eigenvalue=min_eig,
+                min_eig=min_eig,
                 spectrum=spectrum.tolist(),
                 entropy_nats=entropy,
                 output_exponent=n_out,
-                expected_valid=expected_valid,
+                expected_predicate=expected_predicate,
                 psd=psd,
                 agree=agree,
             )
@@ -461,7 +438,6 @@ def run_battery(system: WeylSystem, max_cases: int | None = None) -> dict:
     ccr_dev, ccr_pairs = ccr_scan(system)
 
     states = []
-    states_ok = True
     for e1, e2 in _state_exponents(system):
         state = GaussianState(exponent_lattice(p, e1, e2))
         n = state.rank_exponent()
@@ -478,7 +454,6 @@ def run_battery(system: WeylSystem, max_cases: int | None = None) -> dict:
             and char_dev < 1e-10
             and pure == state.is_pure()
         )
-        states_ok = states_ok and ok
         states.append(
             {
                 "exponents": [e1, e2],
@@ -511,16 +486,15 @@ def run_battery(system: WeylSystem, max_cases: int | None = None) -> dict:
         for noise in noises:
             channel_cases.extend(channel_scan(system, k, noise))
     channels_ok = all(case.agree for case in channel_cases)  # over every case, listed or not
-    if max_cases is not None:
-        channel_cases = channel_cases[:max_cases]
 
-    all_ok = ccr_dev < 1e-10 and fourier_dev < 1e-10 and states_ok and channels_ok
+    all_ok = ccr_dev < 1e-10 and fourier_dev < 1e-10 and all(row["ok"] for row in states) and channels_ok
     return {
         "p": p,
         "N": system.N,
         "ccr": {"pairs": ccr_pairs, "max_deviation": ccr_dev},
         "states": states,
         "fourier_max_deviation": fourier_dev,
-        "channel_cases": [case.to_json_dict() for case in channel_cases],
+        # vars, not dataclasses.asdict, which deep-copies every spectrum entry
+        "channel_cases": [vars(case) for case in channel_cases[:max_cases]],
         "all_checks_pass": bool(all_ok),
     }

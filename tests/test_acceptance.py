@@ -209,13 +209,13 @@ def test_criterion_9_oracle_admissibility_boundary():
         for k in transforms:
             for noise in noises:
                 for case in channel_scan(system, k, noise):
-                    assert case.agree, (str(k), noise, case.input_exponents)
-                    if case.expected_valid:
+                    assert case.agree, (str(k), noise, case.input)
+                    if case.expected_predicate:
                         seen_valid += 1
-                        assert case.min_eigenvalue >= -1e-9
+                        assert case.min_eig >= -1e-9
                     else:
                         seen_violating += 1
-                        assert case.min_eigenvalue < -1e-6
+                        assert case.min_eig < -1e-6
         # the grid genuinely spans both sides of the exact inequality
         assert seen_valid > 50 and seen_violating > 5
 
@@ -240,8 +240,8 @@ def test_criterion_10_cross_module_agreement():
             noise = exponent_lattice(p, *noise_exp)
             chan = GaussianChannel(k, noise)
             for case in channel_scan(system, k, noise_exp):
-                assert case.expected_valid and case.agree
-                inp = GaussianState(exponent_lattice(p, *case.input_exponents))
+                assert case.expected_predicate and case.agree
+                inp = GaussianState(exponent_lattice(p, *case.input))
                 out = chan.apply(inp)
                 n_exact = out.rank_exponent()
                 assert n_exact == case.output_exponent
@@ -255,7 +255,7 @@ def test_criterion_10_cross_module_agreement():
         chan = GaussianChannel(Mat2.diagonal(3, 1), standard_lattice(3))
         n0 = chan.witness_threshold()
         witness_in = chan.noise.scaled(n0)
-        [case] = [c for c in channel_scan(system, chan.transform, (0, 0)) if c.input_exponents == (n0, n0)]
+        [case] = [c for c in channel_scan(system, chan.transform, (0, 0)) if c.input == (n0, n0)]
         out = chan.apply(GaussianState(witness_in))
         assert case.output_exponent == out.rank_exponent()
         assert abs(case.entropy_nats - out.entropy().value()) < 1e-9

@@ -458,6 +458,34 @@ class TestContainment:
             b = rand_rational(rng, 5, 0, 3)
             assert lat.contains(u.scaled(a) + v.scaled(b))
 
+    def test_matches_cramer_on_the_user_basis(self):
+        # the reference reads only the basis as given: z = B x with x_i = det(B with column i
+        # replaced by z) / det B, and z lies in L iff no reduced denominator of x has a factor p
+        rng = random.Random(31)
+        inside = outside = zero_coordinates = 0
+        for p in (*PRIMES, 1000003):
+            for _ in range(200):
+                basis = rand_basis(rng, p)
+                lat = Lattice(basis, p)
+                u, v = basis.columns()
+                if rng.random() < 0.25:  # a point with a zero coordinate, membership left to chance
+                    r = rand_rational(rng, p, -3, 3)
+                    z = rng.choice([Vec2(0, r), Vec2(r, 0), Vec2(0, 0)])
+                else:
+                    c1, c2 = (
+                        Fraction(0) if rng.random() < 0.15 else rand_rational(rng, p, -1, 2) for _ in "xy"
+                    )
+                    z = u.scaled(c1) + v.scaled(c2)
+                det = u.x * v.y - u.y * v.x
+                x1, x2 = (z.x * v.y - z.y * v.x) / det, (u.x * z.y - u.y * z.x) / det
+                expected = x1.denominator % p != 0 and x2.denominator % p != 0
+                assert lat.contains(z) == expected, (p, str(basis), str(z))
+                inside += expected
+                outside += not expected
+                zero_coordinates += z.x == 0 or z.y == 0
+        total = inside + outside
+        assert total >= 1000 and min(inside, outside) >= 0.3 * total and zero_coordinates > 0
+
 
 class TestClosedForms:
     """Closed forms against the generic reduction.

@@ -7,6 +7,7 @@ point z maps to p^m * z mod p^N, and an exact shift alpha maps to the finite
 shift -p^m * alpha mod p^N.
 """
 
+import dataclasses
 import math
 import random
 
@@ -24,6 +25,7 @@ from qpadic.lattice import Lattice, Mat2, Vec2, standard_lattice
 from qpadic.ledger import LogLedger
 from qpadic.padic import Prime
 from qpadic.oracle import (
+    ScanCase,
     WeylSystem,
     _block_spectrum,
     _fits_window,
@@ -529,6 +531,20 @@ class TestWindowMask:
             inclusions = [one.issubset(two) for two in lattices]
             assert inclusions == (~(mask & ~masks).any(axis=(1, 2))).tolist(), one
 
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2)])
+    def test_transformed_is_a_mask_permutation(self, p, n):
+        # g in SL2(Z) keeps the window and maps the window image of L onto that of g L point by
+        # point: the mask of L.transformed(g) read at g z mod p^N is the mask of L at z
+        system = WeylSystem(p, n)
+        d, lattices = system.dim, window_lattices(system)
+        z1, z2 = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+        for g in (Mat2(0, -1, 1, 0), Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1), Mat2(2, 1, 1, 1)):
+            ga, gb, gc, gd = (int(q) for q in (g.a, g.b, g.c, g.d))
+            gz = (ga * z1 + gb * z2) % d, (gc * z1 + gd * z2) % d
+            for lat in lattices:
+                image = _window_mask(system, lat.transformed(g))
+                assert np.array_equal(image[gz], _window_mask(system, lat)), (str(g), lat)
+
 
 class TestShiftClasses:
     """gamma(L, alpha) depends on alpha only modulo L^perp, in the finite model too."""
@@ -607,6 +623,11 @@ class TestDensityValidation:
     def test_maximally_mixed_entropy(self):
         assert abs(entropy_nats(np.eye(9) / 9) - np.log(9)) < 1e-12
 
+    @pytest.mark.parametrize("e", [-1, 1])
+    def test_pure_entropy_is_not_negative_zero(self, e):
+        # the spectrum is exactly (0, ..., 0, 1): its sum is 0.0, whose negation is -0.0
+        assert math.copysign(1.0, entropy_nats(gaussian_density(SYS, e, -e))) == 1.0
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_rejects_non_finite_entries(self, value):
         # NaN > 1e-12 is False, so a NaN entry used to pass the hermitian and trace checks
@@ -627,22 +648,22 @@ class TestChannelScan:
     def test_witnesses_inadmissible_channel(self):
         # det 3 with noise of measure 3 fails the exact inequality at input (0,0)
         cases = channel_scan(SYS, Mat2.diagonal(3, 1), (-1, 0))
-        bad = [c for c in cases if not c.expected_valid]
-        assert [c.input_exponents for c in bad] == [(0, 0)]
-        assert bad[0].min_eigenvalue < -1e-6
+        bad = [c for c in cases if not c.expected_predicate]
+        assert [c.input for c in bad] == [(0, 0)]
+        assert bad[0].min_eig < -1e-6
         assert all(c.agree for c in cases)
 
     def test_valid_channel_spectra(self):
         cases = channel_scan(SYS, Mat2.diagonal(3, 1), (0, 0))
-        assert cases and all(c.expected_valid and c.agree for c in cases)
-        by_input = {c.input_exponents: c for c in cases}
+        assert cases and all(c.expected_predicate and c.agree for c in cases)
+        by_input = {c.input: c for c in cases}
         assert by_input[(0, 1)].output_exponent == 1
         assert abs(by_input[(0, 1)].entropy_nats - np.log(3)) < 1e-9
         assert by_input[(1, -1)].output_exponent == 0
 
     def test_unit_determinant_with_loose_noise(self):
         cases = channel_scan(SYS, Mat2.identity(), (-1, 0))
-        assert cases and all(c.expected_valid and c.agree for c in cases)
+        assert cases and all(c.expected_predicate and c.agree for c in cases)
 
     def test_trace_is_one(self):
         for case in channel_scan(SYS, Mat2.diagonal(2, 1), (0, 0)):
@@ -725,7 +746,7 @@ class TestChannelScan:
                 total += len(cases)
                 for case in cases:
                     assert case.agree
-                    mask = scan_mask(system, k, noise, case.input_exponents)
+                    mask = scan_mask(system, k, noise, case.input)
                     fresh = eigvalsh(weyl_sum_density(system, mask))
                     assert np.abs(np.array(case.spectrum) - fresh).max() < 1e-12
         assert 0 < len(solves) < total
@@ -746,7 +767,7 @@ class TestOutputLatticeMask:
             for k in battery_transforms(p):
                 for noise in NOISES:
                     for case in channel_scan(system, Mat2(*k), noise):
-                        g = case.input_exponents
+                        g = case.input
                         lat = output_lattice(p, {"transform": k, "input": g, "noise": noise})
                         mask = scan_mask(system, k, noise, g)
                         mismatches += not np.array_equal(mask, _window_mask(system, lat))
@@ -827,7 +848,7 @@ class TestBlockSpectrum:
         cases = channel_scan(system, Mat2(*k), (0, 0))
         assert cases
         for case in cases:
-            rho = planted(system, scan_mask(system, k, (0, 0), case.input_exponents))
+            rho = planted(system, scan_mask(system, k, (0, 0), case.input))
             want = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
             assert np.abs(np.array(case.spectrum) - want).max() < 1e-12
 
@@ -836,6 +857,12 @@ def output_lattice(p, case):
     """Exact output lattice K^-1 L_in & L_noise of a reported scan case."""
     inverse = Mat2(*case["transform"]).inverse()
     return exponent_lattice(p, *case["input"]).transformed(inverse) & exponent_lattice(p, *case["noise"])
+
+
+@pytest.fixture
+def no_ccr(monkeypatch):
+    """Stub the CCR scan, most of a battery's time, in tests that read no CCR result."""
+    monkeypatch.setattr(qpadic.oracle, "ccr_scan", lambda system: (0.0, 0))
 
 
 @pytest.fixture(scope="module")
@@ -874,9 +901,7 @@ class TestBattery:
             ("rank_exponent", lambda s: max(s.lattice.a, s.lattice.b)),
         ],
     )
-    def test_a_fault_in_the_exact_state_facts_fails(self, monkeypatch, name, fault):
-        # the CCR grid is most of the battery's time and reads no state fact
-        monkeypatch.setattr(qpadic.oracle, "ccr_scan", lambda system: (0.0, 0))
+    def test_a_fault_in_the_exact_state_facts_fails(self, monkeypatch, no_ccr, name, fault):
         assert run_battery(SYS, max_cases=0)["all_checks_pass"] is True
         monkeypatch.setattr(GaussianState, name, fault)
         assert run_battery(SYS, max_cases=0)["all_checks_pass"] is False
@@ -912,15 +937,29 @@ class TestBattery:
         corners = [output_lattice(SYS.p, case).canonical.c for case in battery["channel_cases"]]
         assert any(corner != 0 for corner in corners)
 
-    def test_max_cases_truncates(self, battery):
+    def test_case_rows_are_scan_case_fields(self, battery):
+        keys = ["transform", "noise", "input", "trace", "min_eig", "spectrum", "entropy_nats",
+                "output_exponent", "expected_predicate", "psd", "agree"]
+        assert [field.name for field in dataclasses.fields(ScanCase)] == keys
+        assert all(list(row) == keys for row in battery["channel_cases"])
+
+    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
+    def test_no_negative_zero(self, no_ccr, p, n):
+        # the CCR figures, a count and a max of |entries|, cannot be -0.0
+        report = run_battery(WeylSystem(p, n))
+        rows = report["states"] + report["channel_cases"]
+        zeros = [v for row in rows for value in row.values() for v in np.ravel(value) if v == 0.0]
+        assert zeros and all(math.copysign(1.0, v) == 1.0 for v in zeros)
+
+    def test_max_cases_truncates(self, no_ccr, battery):
         report = run_battery(SYS, max_cases=5)
         assert report["channel_cases"] == battery["channel_cases"][:5]
 
-    def test_max_cases_keeps_the_verdict(self, failing_last_scan):
+    def test_max_cases_keeps_the_verdict(self, no_ccr, failing_last_scan):
         # a disagreeing case past the cut still fails the battery
         full = run_battery(SYS)
         last = full["channel_cases"][-1]
-        assert (last["transform"], last["noise"], last["agree"]) == ([3, 0, 3, 1], [1, -1], False)
+        assert (last["transform"], last["noise"], last["agree"]) == ((3, 0, 3, 1), (1, -1), False)
         assert sum(not case["agree"] for case in full["channel_cases"]) == 1
         assert full["all_checks_pass"] is False
         for limit in (5, 0):
