@@ -170,7 +170,7 @@ class GaussianChannel:
 
         For n at or above the threshold the output lattice is exactly
         K^-1 * (p**n L), checked against p**n * (K^-1 L) scaled in closed
-        form, so the difference of exact entropy ledgers equals the gain.
+        form, so the difference of the rank exponents, one ledger, is the gain.
         """
         if n < self._threshold:
             raise ValueError(f"witness index {n} is below the threshold")
@@ -178,7 +178,7 @@ class GaussianChannel:
         out = self.apply(inp)
         if out._lattice != self._pulled.scaled(n):
             raise InvariantViolation("witness output lattice is not the pulled-back input")
-        return out.entropy() - inp.entropy()
+        return LogLedger.single(self.p, out.rank_exponent() - inp.rank_exponent())
 
     def identity_output_norm(self) -> Fraction:
         """Exact norm of the channel applied to the identity: |det K|_p ** -1.

@@ -142,13 +142,13 @@ class Mat2(FrozenValue):
 
     def __matmul__(self, other: "Mat2 | Vec2"):
         if isinstance(other, Vec2):
-            return Vec2._of(self.a * other.x + self.b * other.y, self.c * other.x + self.d * other.y)
+            return Vec2._of(_dot(self.a, other.x, self.b, other.y), _dot(self.c, other.x, self.d, other.y))
         if isinstance(other, Mat2):
             return Mat2._of(
-                self.a * other.a + self.b * other.c,
-                self.a * other.b + self.b * other.d,
-                self.c * other.a + self.d * other.c,
-                self.c * other.b + self.d * other.d,
+                _dot(self.a, other.a, self.b, other.c),
+                _dot(self.a, other.b, self.b, other.d),
+                _dot(self.c, other.a, self.d, other.c),
+                _dot(self.c, other.b, self.d, other.d),
             )
         return NotImplemented
 
@@ -158,7 +158,15 @@ class Mat2(FrozenValue):
 
 def sympl(u: Vec2, v: Vec2) -> Fraction:
     """Standard symplectic form: sympl(u, v) = u.x*v.y - u.y*v.x = u^T J v."""
-    return u.x * v.y - u.y * v.x
+    return _dot(u.x, v.y, -u.y, v.x)
+
+
+def _dot(a: Fraction, x: Fraction, b: Fraction, y: Fraction) -> Fraction:
+    """a * x + b * y over the int numerators and denominators: one Fraction, so one gcd."""
+    (na, da), (nx, dx) = a.as_integer_ratio(), x.as_integer_ratio()
+    (nb, db), (ny, dy) = b.as_integer_ratio(), y.as_integer_ratio()
+    dax, dby = da * dx, db * dy
+    return Fraction(na * nx * dby + nb * ny * dax, dax * dby)
 
 
 #: Matrix of the standard symplectic form, J = [[0, 1], [-1, 0]].

@@ -471,6 +471,21 @@ class TestGainLaw:
                 for n in (n0, n0 + 1, n0 + 2):
                     assert chan.entropy_gain_witness(n) == gain
 
+    def test_witness_is_the_entropy_difference(self):
+        # the witness is one ledger of rank exponents; the reference applies the channel to
+        # gamma(p**n L) and subtracts the two entropy ledgers
+        rng = random.Random(42)
+        gains = set()
+        for p in (*PRIMES, 1000003):
+            for _ in range(20):
+                chan = rand_valid_channel(rng, p)
+                n0 = chan.witness_threshold()
+                for n in range(n0, n0 + 3):
+                    inp = GaussianState(chan.noise.scaled(n))
+                    assert chan.entropy_gain_witness(n) == chan.apply(inp).entropy() - inp.entropy()
+                gains.add(chan.entropy_gain().terms.get(p, 0))
+        assert {-3, 0, 3} <= gains
+
     def test_gain_is_negated_det_valuation(self):
         rng = random.Random(40)
         for p in (2, 3, 5):

@@ -394,6 +394,17 @@ class TestBoundedTime:
         basis = Mat2.parse(out["basis"])
         assert out["entropy"]["terms"] == {"2": valuation(basis.det(), 2)}
 
+    def test_worst_capped_literal_applies_a_shift(self):
+        # the shift moves as adj(K) * alpha, whose entries grow to twice the digits of the cap
+        big = 2**3321
+        proc = self.bounded_cli(
+            "channel", "apply", "--p", "2", "--K", f"{big},1;1,{big}",
+            "--L", f"{big},{big};0,{big}", "--state", f"{big},0;{big},1", "--shift", f"{big},3/7",
+        )
+        assert proc.returncode == 0
+        x, y = Fraction(big), Fraction(3, 7)  # adj K = [[big, -1], [-1, big]]
+        assert json.loads(proc.stdout)["shift"] == f"{big * x - y},{-x + big * y}"
+
 
 class TestClosedPipe:
     def test_reader_closing_early_is_one(self, tmp_path):

@@ -186,6 +186,34 @@ class TestVecMat:
     def test_negation(self):
         assert -Vec2(1, 2) == Vec2(-1, -2) and -Vec2.zero() == Vec2.zero()
 
+    def test_products_match_fraction_operators(self):
+        # @ and sympl build each entry a * x + b * y from int numerators and denominators; the
+        # reference is the same sum through Fraction's own * and +, entry by entry
+        rng = random.Random(9)
+        capped = [str(2**3321), f"-{3**992}/{5**749}", f"1/{7**1180}"]  # at the 1000-digit literal cap
+        assert all(len(text) == 1000 for text in capped)
+        big = [Mat2(capped[0], 0, capped[1], 1), Mat2(capped[2], capped[1], 3, capped[0])]
+        cases = [(m, n, v) for m in big for n in big for v in (Vec2(capped[1], capped[2]), Vec2(0, capped[0]))]
+        for p in (*PRIMES, 1000003):
+            for _ in range(100):
+                m = rand_basis(rng, p)
+                n = rand_basis(rng, p) if rng.random() < 0.5 else Mat2(*(rand_rational(rng, p) for _ in range(4)))
+                cases.append((m, n, rand_vector(rng, p)))
+
+        def same(got, ref) -> bool:
+            return type(got) is Fraction and (got.numerator, got.denominator) == (ref.numerator, ref.denominator)
+
+        entries = []
+        for m, n, v in cases:
+            mv, mn = m @ v, m @ n
+            assert same(mv.x, m.a * v.x + m.b * v.y) and same(mv.y, m.c * v.x + m.d * v.y)
+            assert same(mn.a, m.a * n.a + m.b * n.c) and same(mn.b, m.a * n.b + m.b * n.d)
+            assert same(mn.c, m.c * n.a + m.d * n.c) and same(mn.d, m.c * n.b + m.d * n.d)
+            u, w = m.columns()
+            assert same(sympl(u, v), u.x * v.y - u.y * v.x) and same(sympl(v, w), v.x * w.y - v.y * w.x)
+            entries += [m.a, m.b, m.c, m.d, v.x, v.y]
+        assert sum(x == 0 for x in entries) >= 300 and sum(x < 0 for x in entries) >= 1000
+
     def test_sympl_is_standard_form(self):
         rng = random.Random(8)
         for _ in range(50):

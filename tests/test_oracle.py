@@ -19,7 +19,7 @@ from fractions import Fraction
 import qpadic.oracle
 import qpadic.padic
 from qpadic.adelic import gain_exponent
-from qpadic.channels import GaussianState
+from qpadic.channels import GaussianState, channel_validity
 from qpadic.errors import NotAStateError
 from qpadic.lattice import Lattice, Mat2, Vec2, standard_lattice
 from qpadic.ledger import LogLedger
@@ -775,6 +775,45 @@ class TestOutputLatticeMask:
                         corners += lat.canonical.c != 0
         assert (cases, mismatches) == (687, 0)
         assert corners == 109  # the shears give nonzero corners; the diagonal grid gives none
+
+
+def admissibility_transforms(p):
+    """The battery's transforms and four more, with det K = 1 + p, 1 - p, 1 + p^2 and -1."""
+    return battery_transforms(p) + [(1 + p, 0, 0, 1), (1, p, 1, 1), (1, 0, 0, 1 + p * p), (0, 1, 1, 0)]
+
+
+class TestCompletePositivity:
+    """Admissibility against complete positivity, a route that never reads the verdict's formula.
+
+    The finite channel W(z) -> [z in S] W(K z), S the window image of the noise lattice, is
+    completely positive iff Holevo's kernel chi(h * (1 - det K) * D(s_i, s_j)) on S is positive
+    semidefinite; each coset block of its Choi matrix is unitarily equivalent to that kernel.
+    """
+
+    @pytest.mark.parametrize("p,n,counts", [(3, 2, (299, 32, 26)), (5, 2, (572, 36, 36))], ids=["3-2", "5-2"])
+    def test_kernel_is_psd_iff_admissible(self, p, n, counts):
+        system = WeylSystem(p, n)
+        d, h = system.dim, pow(2, -1, system.dim)
+        verdicts, edge = [], 0
+        for lat in window_lattices(system):
+            s = np.argwhere(_window_mask(system, lat))
+            if len(s) > 125:  # p^-1 Z_p^2 at (5, 2), whose kernel has 625 rows
+                continue
+            delta = np.outer(s[:, 0], s[:, 1]) - np.outer(s[:, 1], s[:, 0])
+            # the kernel reads K only through c = h * (1 - det K) mod p^N, and -c gives its conjugate
+            psd = {}
+            for ka, kb, kc, kd in admissibility_transforms(p):
+                c = h * (1 - (ka * kd - kb * kc)) % d
+                key = min(c, d - c)
+                if key not in psd:
+                    kernel = np.exp(2j * np.pi * (c * delta % d) / d)
+                    psd[key] = np.linalg.eigvalsh(kernel).min() >= -1e-9
+                check = channel_validity(Mat2(ka, kb, kc, kd), lat)
+                assert psd[key] == check.ok, ((ka, kb, kc, kd), lat)
+                verdicts.append(check.ok)
+                edge += check.product == p  # one step past the edge
+        # (pairs, inadmissible pairs, pairs one step past the edge, |1 - det K|_p * measure = p)
+        assert (len(verdicts), verdicts.count(False), edge) == counts
 
 
 class TestBlockSpectrum:
