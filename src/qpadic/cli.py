@@ -30,6 +30,17 @@ class _CliParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _attached(argv: list[str]) -> list[str]:
+    # argparse reads '-2/3,5/3' as an option unless it follows '=', so attach it to a literal flag
+    out: list[str] = []
+    for token in argv:
+        literal_flag = out and out[-1] in ("--K", "--L", "--basis", "--a", "--b", "--state", "--shift")
+        if literal_flag and re.match("-[^-]", token):  # a token that starts with '--' stays a flag
+            token = out.pop() + "=" + token
+        out.append(token)
+    return out
+
+
 def _parse_lattice(text: str, p: int) -> Lattice:
     return Lattice(Mat2.parse(text), p)
 
@@ -170,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attached(sys.argv[1:] if argv is None else argv))
         payload, code = args.run(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

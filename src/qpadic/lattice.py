@@ -25,18 +25,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvariantViolation
 from .padic import Prime, _ratio_valuation, _residue, as_rational, p_power, require_prime, valuation
 from .value import FrozenValue
 
 __all__ = [
     "Lattice",
     "Mat2",
-    "STANDARD_J",
     "Vec2",
     "standard_lattice",
     "sympl",
-    "symplectic_transport",
 ]
 
 
@@ -169,10 +166,6 @@ def _dot(a: Fraction, x: Fraction, b: Fraction, y: Fraction) -> Fraction:
     return Fraction(na * nx * dby + nb * ny * dax, dax * dby)
 
 
-#: Matrix of the standard symplectic form, J = [[0, 1], [-1, 0]].
-STANDARD_J = Mat2(0, 1, -1, 0)
-
-
 def _reduced(p: Prime, a: int, b: int, num: int, den: int) -> tuple[int, int, Fraction]:
     """(a, b, sigma) with the slope num / den taken to its representative modulo p**(b - a) * Z_p."""
     return a, b, _residue(num, den, p, b - a)
@@ -302,40 +295,8 @@ class Lattice:
         """K^-1 * L = adj K * (p**g * L) for g = -v_p(det K), since a p-adic unit fixes a lattice."""
         return self.scaled(g)._image(adjugate, -g)
 
-    def symplectic_basis(self) -> tuple[Vec2, Vec2]:
-        """Generators u, v of a self-dual lattice with sympl(u, v) = p**(a + b) = 1: its canonical columns."""
-        if not self.is_self_dual():
-            raise ValueError("symplectic basis requires a self-dual lattice")
-        return self.canonical.columns()
-
-    def symplectic_diagonalization(self) -> tuple[Mat2, int]:
-        """Write L = S * diag(p**n, 1) * L0 with det(S) = 1 exactly.
-
-        The exponent pair of the normal form is fixed as (n, 0) with n = a + b, so
-        p**(-n) = measure(L). S = canonical * diag(p**-n, 1) = [[p**-b, 0], [sigma * p**-b, p**b]]
-        maps p**n * (1, 0) and (0, 1) to the canonical columns, and det(S) = p**(a + b - n) = 1.
-        """
-        n = self.a + self.b
-        return self.canonical @ Mat2.diagonal(p_power(self.p, -n), 1), n
-
 
 def standard_lattice(p: int) -> Lattice:
     """The self-dual reference lattice Z_p x Z_p."""
     return Lattice(Mat2.identity(), p)
 
-
-def symplectic_transport(src: Lattice, dst: Lattice) -> Mat2:
-    """A determinant-one rational matrix S with S * src = dst.
-
-    Exists iff the measures agree (equal-measure lattices are exactly the
-    orbits of the rational symplectic group). Raises ValueError otherwise.
-    """
-    src._require_same_prime(dst)
-    s1, n1 = src.symplectic_diagonalization()
-    s2, n2 = dst.symplectic_diagonalization()
-    if n1 != n2:
-        raise ValueError("transport requires equal measures")
-    out = s2 @ s1.inverse()
-    if src.transformed(out) != dst:
-        raise InvariantViolation("transport postcondition failed")
-    return out

@@ -57,7 +57,6 @@ __all__ = [
     "channel_scan",
     "char_indicator_deviation",
     "char_table",
-    "char_value",
     "entropy_nats",
     "exponent_lattice",
     "fourier_subgroup_deviation",
@@ -237,11 +236,6 @@ def gaussian_density(
         phases, cols = _weyl_entries(system, *shift)
         rho = phases[:, None] * rho[np.ix_(cols, cols)] * phases.conj()
     return rho
-
-
-def char_value(system: WeylSystem, rho: np.ndarray, a: int, b: int) -> complex:
-    """Characteristic function Tr(rho W(a, b))."""
-    return complex(np.trace(rho @ weyl_operator(system, a, b)))
 
 
 def char_table(system: WeylSystem, rho: np.ndarray) -> np.ndarray:

@@ -209,6 +209,44 @@ class TestFlags:
         assert code == 0 and err == "" and out
 
 
+class TestNegativeLiterals:
+    """A literal flag reads a value that starts with '-' in both forms, --flag value and --flag=value."""
+
+    APPLY = ["channel", "apply", "--p", "3", "--K", "5,5;0,1", "--L", "1,1;2,0", "--state", "0,3;1,9"]
+
+    # each literal flag with a negative value, and the argv it ends
+    CASES = {
+        "--K": (["channel", "gain", "--p", "3"], "-3,0;0,1"),
+        "--L": (["channel", "validate", "--p", "3", "--K", "1,0;0,1"], "-1,0;0,3"),
+        "--basis": (["lattice", "canon", "--p", "3"], "-3,0;0,1"),
+        "--a": (["lattice", "intersect", "--p", "3", "--b", "1,0;0,3"], "-3,0;1,9"),
+        "--b": (["lattice", "sum", "--p", "3", "--a", "3,0;0,1"], "-1,0;0,3"),
+        "--state": (["channel", "apply", "--p", "3", "--K", "3,0;0,1", "--L", "1,0;0,3"], "-1,0;-1,1"),
+        "--shift": (APPLY, "-2/3,5/3"),
+    }
+
+    def test_printed_shift_round_trips(self, monkeypatch):
+        # the shift that the golden-style apply prints, passed back in; main() reads sys.argv too
+        code, out, err = run_cli(self.APPLY + ["--shift", "1,1/3"])
+        assert (code, err) == (0, "") and json.loads(out)["shift"] == "-2/3,5/3"
+        monkeypatch.setattr(sys, "argv", ["qpadic", *self.APPLY, "--shift", "-2/3,5/3"])
+        back = run_cli(None)
+        assert back == run_cli(self.APPLY + ["--shift=-2/3,5/3"])
+        assert back[0] == 0 and json.loads(back[1])["shift"] == "-9,25/3"
+
+    @pytest.mark.parametrize("flag", sorted(CASES))
+    def test_value_may_start_with_minus(self, flag):
+        args, value = self.CASES[flag]
+        got = run_cli(args + [flag, value])
+        assert got == run_cli(args + [f"{flag}={value}"])
+        assert got[0] == 0 and got[2] == ""
+
+    @pytest.mark.parametrize("tail", [["--format", "json"], []], ids=["before-a-flag", "last"])
+    def test_missing_value_is_still_one(self, tail):
+        args = ["lattice", "canon", "--p", "3", "--basis", *tail]
+        assert run_cli(args) == (1, "", "error: argument --basis: expected one argument\n")
+
+
 class TestOracleCommand:
     def test_small_battery_run(self):
         code, out, err = run_cli(

@@ -15,16 +15,7 @@ import qpadic.lattice
 import qpadic.padic
 from qpadic.adelic import adelic_report, gain_exponent
 from qpadic.channels import GaussianChannel, GaussianState, channel_validity
-from qpadic.errors import InvariantViolation
-from qpadic.lattice import (
-    STANDARD_J,
-    Lattice,
-    Mat2,
-    Vec2,
-    standard_lattice,
-    sympl,
-    symplectic_transport,
-)
+from qpadic.lattice import Lattice, Mat2, Vec2, standard_lattice, sympl
 from qpadic.oracle import WeylSystem, channel_scan
 from qpadic.padic import Prime, fractional_part, p_power, padic_norm, valuation
 
@@ -38,6 +29,10 @@ from conftest import (
     rand_vector,
     solved_subset,
 )
+
+
+#: Matrix of the standard symplectic form, J = [[0, 1], [-1, 0]].
+STANDARD_J = Mat2(0, 1, -1, 0)
 
 
 def mutually_included(a: Lattice, b: Lattice) -> bool:
@@ -420,49 +415,47 @@ class TestScalingTransforms:
 
 class TestSymplecticStructure:
     def test_symplectic_basis(self):
+        # the canonical columns of a self-dual lattice are a symplectic basis of it
         rng = random.Random(22)
         for p in (2, 3, 5):
             for _ in range(25):
                 lat = standard_lattice(p).transformed(rand_symplectic(rng, p))
-                u, v = lat.symplectic_basis()
+                u, v = lat.canonical.columns()
                 assert sympl(u, v) == 1
                 assert Lattice(Mat2.from_columns(u, v), p) == lat
-        with pytest.raises(ValueError):
-            Lattice(Mat2.diagonal(3, 1), 3).symplectic_basis()
 
     def test_diagonalization(self):
+        # L = S * diag(p**n, 1) * L0 with n = a + b and S = canonical * diag(p**-n, 1) of det 1
         rng = random.Random(23)
         for p in (2, 3, 5, 7):
             for _ in range(40):
                 lat = rand_lattice(rng, p)
-                s, n = lat.symplectic_diagonalization()
+                n = lat.a + lat.b
+                s = lat.canonical @ Mat2.diagonal(p_power(p, -n), 1)
                 assert s.det() == 1
-                scale = Fraction(p**n) if n >= 0 else Fraction(1, p**-n)
-                assert lat.measure == 1 / scale
-                model = Lattice(Mat2.diagonal(scale, 1), p)
-                assert model.transformed(s) == lat
+                assert lat.measure == p_power(p, -n)
+                assert Lattice(Mat2.diagonal(p_power(p, n), 1), p).transformed(s) == lat
 
     def test_transport(self):
+        # S = C_dst * C_src**-1 maps src onto dst; it is symplectic exactly when the measures agree,
+        # which is unitarily_equivalent's verdict whenever both lattices are states
         rng = random.Random(24)
+        equal_measures, verdicts = [], []
         for p in (2, 3, 5):
             for _ in range(25):
                 src = rand_lattice(rng, p)
-                dst = src.transformed(rand_symplectic(rng, p))
-                s = symplectic_transport(src, dst)
-                assert s.det() == 1
-                assert src.transformed(s) == dst
-
-    def test_transport_postcondition_fires(self, monkeypatch):
-        src = Lattice(Mat2.parse("3,0;1,9"), 3)
-        dst = src.transformed(Mat2(1, 1, 0, 1))
-        monkeypatch.setattr(Mat2, "inverse", lambda m: Mat2.identity())
-        with pytest.raises(InvariantViolation, match="transport postcondition"):
-            symplectic_transport(src, dst)
-
-    def test_transport_requires_equal_measure(self):
-        a = Lattice(Mat2.diagonal(3, 1), 3)
-        with pytest.raises(ValueError):
-            symplectic_transport(a, standard_lattice(3))
+                for dst in (src.transformed(rand_symplectic(rng, p)), rand_lattice(rng, p)):
+                    s = dst.canonical @ src.canonical.inverse()
+                    assert src.transformed(s) == dst
+                    equal = dst.measure == src.measure
+                    assert (s.det() == 1) == equal
+                    equal_measures.append(equal)
+                    if src.measure <= 1 and dst.measure <= 1:
+                        assert GaussianState(src).unitarily_equivalent(GaussianState(dst)) == equal
+                        verdicts.append(equal)
+        # (pairs, pairs of unequal measure, pairs of states, pairs of inequivalent states)
+        counts = len(equal_measures), equal_measures.count(False), len(verdicts), verdicts.count(False)
+        assert counts == (150, 69, 39, 10)
 
 
 class TestContainment:

@@ -38,7 +38,6 @@ from qpadic.oracle import (
     channel_scan,
     char_indicator_deviation,
     char_table,
-    char_value,
     entropy_nats,
     exponent_lattice,
     fourier_subgroup_deviation,
@@ -350,7 +349,7 @@ class TestGaussianDensities:
             generic = g @ g.conj().T / np.trace(g @ g.conj().T)
             for rho in (gaussian_density(system, 0, 0, shift=shift), generic):
                 table = char_table(system, rho)
-                pointwise = [[char_value(system, rho, a, b) for b in range(d)] for a in range(d)]
+                pointwise = [[np.trace(rho @ weyl_operator(system, a, b)) for b in range(d)] for a in range(d)]
                 assert np.abs(table - np.array(pointwise)).max() < 1e-12
         assert systems[3][0] == SYS and hash(systems[3][0]) == hash(SYS)
 
@@ -431,7 +430,7 @@ class TestExactFiniteShiftConvention:
                 for z2 in range(-1, 2):
                     phase = exact.char(Vec2(z1, z2))
                     want = 0j if phase is None else phase.to_complex()
-                    got = char_value(SYS, rho, (p**m * z1) % d, (p**m * z2) % d)
+                    got = np.trace(rho @ weyl_operator(SYS, (p**m * z1) % d, (p**m * z2) % d))
                     assert abs(got - want) < 1e-12
 
 
@@ -814,6 +813,37 @@ class TestCompletePositivity:
                 edge += check.product == p  # one step past the edge
         # (pairs, inadmissible pairs, pairs one step past the edge, |1 - det K|_p * measure = p)
         assert (len(verdicts), verdicts.count(False), edge) == counts
+
+
+class TestGainIsTheMinimum:
+    """The entropy gain log|det K|_p as the least S_out - S_in over inputs, read from spectra alone."""
+
+    NOISES = ((0, 0), (-1, 0), (1, -1), (0, 1), (-1, 1), (1, 0))
+
+    @pytest.mark.parametrize("p,n,attained", [(3, 2, 39), (5, 2, 41), (7, 2, 41), (3, 4, 49)])
+    def test_gain_bounds_every_output_and_is_attained(self, p, n, attained):
+        # S_in = sum(input) * ln p; the bound holds with equality iff the pullback K^-1 L_in lies in L
+        system, log_p = WeylSystem(p, n), math.log(p)
+        channels, minima = 0, 0
+        for k in battery_transforms(p):
+            transform = Mat2(*k)
+            g = gain_exponent(transform, p)
+            for noise in self.NOISES:
+                noise_lat = exponent_lattice(p, *noise)
+                if not channel_validity(transform, noise_lat).ok:
+                    continue
+                channels += 1
+                at_minimum = False
+                for case in channel_scan(system, transform, noise):
+                    assert case.psd and case.entropy_nats is not None, (k, noise, case.input)  # a state
+                    excess = case.entropy_nats - sum(case.input) * log_p - g * log_p
+                    pulled = exponent_lattice(p, *case.input)._pulled_back(transform.adjugate(), g)
+                    inside = pulled.issubset(noise_lat)
+                    assert excess >= -1e-9, (k, noise, case.input)
+                    assert (abs(excess) < 1e-9) == inside, (k, noise, case.input)
+                    at_minimum |= inside
+                minima += at_minimum
+        assert (channels, minima) == (49, attained)
 
 
 class TestBlockSpectrum:
