@@ -457,6 +457,15 @@ class TestSymplecticStructure:
         counts = len(equal_measures), equal_measures.count(False), len(verdicts), verdicts.count(False)
         assert counts == (150, 69, 39, 10)
 
+    def test_transport_requires_equal_measure(self):
+        # measure 1/3 against 1: the map between the two has det 3, so no symplectic one exists
+        a, b = Lattice(Mat2.diagonal(3, 1), 3), standard_lattice(3)
+        s = b.canonical @ a.canonical.inverse()
+        assert a.transformed(s) == b
+        assert padic_norm(s.det(), 3) == b.measure / a.measure == 3
+        assert not GaussianState(a).unitarily_equivalent(GaussianState(b))
+        assert GaussianState(b).unitarily_equivalent(GaussianState(b.transformed(Mat2(1, 1, 0, 1))))
+
 
 class TestContainment:
     def test_generator_membership(self):
