@@ -31,11 +31,12 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _attached(argv: list[str]) -> list[str]:
-    # argparse reads '-2/3,5/3' as an option unless it follows '=', so attach it to a literal flag
+    # argparse reads '-2/3,5/3' as an option unless it follows '=', so attach it to the '--flag'
+    # before it, abbreviated or not; a '--' token stays a flag, and --help or a prefix takes no value
     out: list[str] = []
     for token in argv:
-        literal_flag = out and out[-1] in ("--K", "--L", "--basis", "--a", "--b", "--state", "--shift")
-        if literal_flag and re.match("-[^-]", token):  # a token that starts with '--' stays a flag
+        flag = out[-1] if out else ""
+        if re.fullmatch("--[^=]+", flag) and not "--help".startswith(flag) and re.match("-[^-]", token):
             token = out.pop() + "=" + token
         out.append(token)
     return out

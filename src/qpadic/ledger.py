@@ -2,14 +2,13 @@
 
 Entropies and entropy gains in this package always take the form
 sum_q e_q * log(q) over finitely many primes q with integer exponents.
-They are stored symbolically and compared exactly; conversion to a float
-in a given base is a presentation concern.
+They are stored symbolically and compared exactly; the float in nats and
+the text in base e, 2 or 10 are presentation concerns.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Mapping
 
 from .padic import require_prime
@@ -44,10 +43,6 @@ class LogLedger:
         return ledger
 
     @classmethod
-    def zero(cls) -> "LogLedger":
-        return cls()
-
-    @classmethod
     def single(cls, prime: int, exponent: int) -> "LogLedger":
         _check_term(prime, exponent)
         return cls._of({prime: exponent})
@@ -79,11 +74,9 @@ class LogLedger:
     def __hash__(self) -> int:
         return hash(tuple(self._terms.items()))
 
-    def value(self, base: float = math.e) -> float:
-        """Numeric value in the given base, a finite real > 0 other than 1. Exactness ends here."""
-        if not (isinstance(base, numbers.Real) and math.isfinite(base) and 0 < base != 1):
-            raise ValueError(f"log base must be a finite number > 0 other than 1, got {base!r}")
-        return sum((e * math.log(q) for q, e in self._terms.items()), 0.0) / math.log(base)
+    def value(self) -> float:
+        """Numeric value in nats. Exactness ends here."""
+        return sum((e * math.log(q) for q, e in self._terms.items()), 0.0)
 
     def render(self, base: str = "e") -> str:
         """Deterministic text form, e.g. '-1*ln(3)' or '2*log2(3) + 1*log2(5)'."""

@@ -216,26 +216,17 @@ def _subgroup_density(system: WeylSystem, mask: np.ndarray) -> np.ndarray:
     return rho
 
 
-def gaussian_density(
-    system: WeylSystem,
-    exponent1: int,
-    exponent2: int,
-    shift: tuple[int, int] = (0, 0),
-) -> np.ndarray:
+def gaussian_density(system: WeylSystem, exponent1: int, exponent2: int) -> np.ndarray:
     """Density matrix of the finite Gaussian state of diag(p^exponent1, p^exponent2) * L0.
 
-    The density is p^(-N) * sum of W(-z) over the window image S of that lattice, conjugated
-    by W(shift). Requires window exponents in [-m, m] (ValueError) and a lattice that
-    GaussianState accepts, of measure <= 1 (NotAStateError, with that class's message).
+    The density is p^(-N) * sum of W(-z) over the window image S of that lattice. Requires
+    window exponents in [-m, m] (ValueError) and a lattice that GaussianState accepts, of
+    measure <= 1 (NotAStateError, with that class's message).
     """
     lat = exponent_lattice(system.p, exponent1, exponent2)
     mask = _window_mask(system, lat)
     GaussianState(lat)  # the exact layer's state rule
-    rho = _subgroup_density(system, mask)
-    if shift != (0, 0):  # W rho W^H for monomial W is a gather of rho and two phase scalings
-        phases, cols = _weyl_entries(system, *shift)
-        rho = phases[:, None] * rho[np.ix_(cols, cols)] * phases.conj()
-    return rho
+    return _subgroup_density(system, mask)
 
 
 def char_table(system: WeylSystem, rho: np.ndarray) -> np.ndarray:
@@ -421,8 +412,11 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
 def run_battery(system: WeylSystem, max_cases: int | None = None) -> dict:
     """Full deterministic oracle run: CCR, states, Fourier duality, channels.
 
-    Returns a JSON-ready dict; 'all_checks_pass' aggregates every check at
-    the standard tolerances (1e-10 algebraic, 1e-9 eigenvalue-based).
+    Returns a JSON-ready dict; 'all_checks_pass' aggregates every check at its own tolerance:
+    the CCR and Fourier defects below 1e-10; per state, the spectrum's distance from flat, the
+    character table's from the indicator and |sum(lam^2) - 1| below 1e-10, and the entropy
+    within 1e-9 of the ledger's; per channel case, a predicted state with min eigenvalue
+    >= -1e-9 and within 1e-9 of flat, a predicted non-state with an eigenvalue below -1e-6.
     max_cases trims the listed channel cases, not the scan behind the verdict.
     """
     if max_cases is not None and max_cases < 0:

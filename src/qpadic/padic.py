@@ -16,7 +16,6 @@ channels and the oracle carry the `Prime` on.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -200,13 +199,6 @@ class PhaseQ(FrozenValue):
 
     def inverse(self) -> "PhaseQ":
         return PhaseQ._of(-self.angle % 1)
-
-    @property
-    def is_one(self) -> bool:
-        return self.angle == 0
-
-    def to_complex(self) -> complex:
-        return cmath.exp(2j * math.pi * float(self.angle))
 
 
 def additive_character(x: Fraction | int | str, p: int) -> PhaseQ:

@@ -128,12 +128,12 @@ class TestCharacteristicFunction:
 
     def test_centred_phase_is_trivial(self):
         s = GaussianState(standard_lattice(3))
-        assert s.char(Vec2(0, 1)).is_one
-        assert s.char(Vec2(2, 5)).is_one
+        assert s.char(Vec2(0, 1)).angle == 0
+        assert s.char(Vec2(2, 5)).angle == 0
 
     def test_pinned_shifted_values(self):
         s = GaussianState(standard_lattice(3), Vec2(1, 0))
-        assert s.char(Vec2(0, 1)).is_one  # pairing value 1 is integral
+        assert s.char(Vec2(0, 1)).angle == 0  # pairing value 1 is integral
         t = GaussianState(standard_lattice(3), Vec2(Fraction(1, 3), 0))
         assert t.char(Vec2(0, 1)).angle == Fraction(1, 3)
 
@@ -211,7 +211,7 @@ class TestEntropyAndEquivalence:
     def test_pinned_entropies(self):
         assert GaussianState(diag_lattice(3, 9, 1)).entropy() == LogLedger({3: 2})
         assert GaussianState(diag_lattice(3, 3, 1)).entropy() == LogLedger({3: 1})
-        assert GaussianState(standard_lattice(2)).entropy() == LogLedger.zero()
+        assert GaussianState(standard_lattice(2)).entropy() == LogLedger()
 
     def test_shift_never_changes_entropy(self):
         rng = random.Random(34)
@@ -387,7 +387,7 @@ class TestGainLaw:
     def test_pinned_gains(self):
         p3 = standard_lattice(3)
         assert GaussianChannel(Mat2.diagonal(3, 1), p3).entropy_gain() == LogLedger({3: -1})
-        assert GaussianChannel(Mat2.identity(), p3).entropy_gain() == LogLedger.zero()
+        assert GaussianChannel(Mat2.identity(), p3).entropy_gain() == LogLedger()
         # det valuation -1 forces |1 - det|_3 = 3, so the noise must shrink
         small = diag_lattice(3, 3, 1)
         assert GaussianChannel(
@@ -716,44 +716,35 @@ class TestLedger:
         a = LogLedger({2: 1, 3: -2})
         b = LogLedger({3: 2, 5: 1})
         assert a + b == LogLedger({2: 1, 5: 1})
-        assert a - a == LogLedger.zero()
+        assert a - a == LogLedger()
         assert -a == LogLedger({2: -1, 3: 2})
-        assert not LogLedger.zero()
+        assert not LogLedger()
 
     def test_value_and_render(self):
         import math
 
         led = LogLedger({3: -1})
         assert abs(led.value() + math.log(3)) < 1e-15
-        assert abs(led.value(2) + math.log2(3)) < 1e-15
         assert led.render() == "-1*ln(3)"
         assert led.render("2") == "-1*log2(3)"
-        assert LogLedger.zero().render("10") == "0"
+        assert LogLedger().render("10") == "0"
         assert LogLedger({2: 2, 5: 1}).render() == "2*ln(2) + 1*ln(5)"
 
     def test_value_is_a_float(self):
-        for led in (LogLedger.zero(), LogLedger({3: 2})):
-            assert type(led.value()) is float and type(led.value(2)) is float
-        assert LogLedger.zero().value() == 0.0
-
-    @pytest.mark.parametrize("base", [1, 1.0, True, 0, -2, float("nan"), float("inf"), -float("inf"), "2", 1j])
-    def test_value_refuses_a_bad_base(self, base):
-        for led in (LogLedger.zero(), LogLedger({3: 2})):
-            with pytest.raises(ValueError) as caught:
-                led.value(base)
-            assert str(caught.value) == f"log base must be a finite number > 0 other than 1, got {base!r}"
+        for led in (LogLedger(), LogLedger({3: 2})):
+            assert type(led.value()) is float
+        assert LogLedger().value() == 0.0
 
     def test_value_in_base_e_is_the_plain_sum(self):
         import math
 
         for terms in ({}, {3: 1}, {2: 2, 5: -1}, {7: -3, 999983: 4}):
             assert LogLedger(terms).value() == sum((e * math.log(q) for q, e in terms.items()), 0.0)
-        assert abs(LogLedger({3: 2}).value(Fraction(1, 3)) + 2) < 1e-15  # a base below 1 is a base
 
     def test_hash_and_repr(self):
         assert hash(LogLedger({3: 1, 5: 0})) == hash(LogLedger.single(3, 1))
         assert repr(LogLedger({5: -2, 3: 1})) == "LogLedger({3: 1, 5: -2})"
-        assert len({LogLedger({3: 1, 5: 0}), LogLedger.single(3, 1), LogLedger.zero()}) == 2
+        assert len({LogLedger({3: 1, 5: 0}), LogLedger.single(3, 1), LogLedger()}) == 2
 
     def test_rejects_bad_terms(self):
         with pytest.raises(ValueError):
@@ -774,7 +765,7 @@ class TestLedger:
         a, b = LogLedger({5: 1, 7: 2}), LogLedger({2: -1, 5: 1})
         assert (a + b).terms == {2: -1, 5: 2, 7: 2} and list((a + b).terms) == [2, 5, 7]
         assert (a - b).render() == "1*ln(2) + 2*ln(7)" and list((b - a).terms) == [2, 7]
-        assert (a - a).is_zero() and (a + -a).render() == "0" and not -LogLedger.zero()
-        assert LogLedger.single(3, 0) == LogLedger.zero() and LogLedger.single(3, 0).render() == "0"
+        assert (a - a).is_zero() and (a + -a).render() == "0" and not -LogLedger()
+        assert LogLedger.single(3, 0) == LogLedger() and LogLedger.single(3, 0).render() == "0"
         with pytest.raises(ValueError):
-            LogLedger.zero().render("7")
+            LogLedger().render("7")

@@ -210,7 +210,7 @@ class TestFlags:
 
 
 class TestNegativeLiterals:
-    """A literal flag reads a value that starts with '-' in both forms, --flag value and --flag=value."""
+    """A literal flag, whole or abbreviated, reads a value that starts with '-' as --flag value and --flag=value."""
 
     APPLY = ["channel", "apply", "--p", "3", "--K", "5,5;0,1", "--L", "1,1;2,0", "--state", "0,3;1,9"]
 
@@ -234,12 +234,22 @@ class TestNegativeLiterals:
         assert back == run_cli(self.APPLY + ["--shift=-2/3,5/3"])
         assert back[0] == 0 and json.loads(back[1])["shift"] == "-9,25/3"
 
-    @pytest.mark.parametrize("flag", sorted(CASES))
-    def test_value_may_start_with_minus(self, flag):
+    # argparse also takes a unique prefix of a flag, and the value attaches to the prefix
+    ABBREVIATED = {"--bas": "--basis", "--sh": "--shift", "--st": "--state"}
+
+    @pytest.mark.parametrize("spelled", sorted(CASES) + sorted(ABBREVIATED))
+    def test_value_may_start_with_minus(self, spelled):
+        flag = self.ABBREVIATED.get(spelled, spelled)
         args, value = self.CASES[flag]
-        got = run_cli(args + [flag, value])
+        got = run_cli(args + [spelled, value])
         assert got == run_cli(args + [f"{flag}={value}"])
         assert got[0] == 0 and got[2] == ""
+
+    @pytest.mark.parametrize("flag", ["--help", "--he"])
+    def test_help_takes_no_value(self, flag, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["lattice", "canon", "--p", "3", flag, "-3"])
+        assert done.value.code == 0 and capsys.readouterr().out.startswith("usage: qpadic lattice canon")
 
     @pytest.mark.parametrize("tail", [["--format", "json"], []], ids=["before-a-flag", "last"])
     def test_missing_value_is_still_one(self, tail):

@@ -7,6 +7,7 @@ point z maps to p^m * z mod p^N, and an exact shift alpha maps to the finite
 shift -p^m * alpha mod p^N.
 """
 
+import cmath
 import dataclasses
 import math
 import random
@@ -32,6 +33,7 @@ from qpadic.oracle import (
     _operator_norm,
     _state_exponents,
     _subgroup_density,
+    _weyl_entries,
     _window_mask,
     ccr_deviation,
     ccr_scan,
@@ -60,6 +62,12 @@ def weyl_sum_density(system, mask):
     for z1, z2 in zip(*np.nonzero(mask)):
         rho += weyl_operator(system, -int(z1), -int(z2))
     return rho / d
+
+
+def shifted(system, rho, shift):
+    """W(shift) rho W(shift)^H by the dense product: rho moved by the finite shift."""
+    w = weyl_operator(system, *shift)
+    return w @ rho @ w.conj().T
 
 
 def dense_ccr_defect(system, a1, b1, a2, b2, weyl=weyl_operator):
@@ -347,7 +355,7 @@ class TestGaussianDensities:
             d = system.dim
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             generic = g @ g.conj().T / np.trace(g @ g.conj().T)
-            for rho in (gaussian_density(system, 0, 0, shift=shift), generic):
+            for rho in (shifted(system, gaussian_density(system, 0, 0), shift), generic):
                 table = char_table(system, rho)
                 pointwise = [[np.trace(rho @ weyl_operator(system, a, b)) for b in range(d)] for a in range(d)]
                 assert np.abs(table - np.array(pointwise)).max() < 1e-12
@@ -359,7 +367,7 @@ class TestGaussianDensities:
         assert char_indicator_deviation(SYS, rho, e1, e2) < 1e-10
 
     def test_shifted_char_has_indicator_magnitude(self):
-        rho = gaussian_density(SYS, 0, 1, shift=(4, 1))
+        rho = shifted(SYS, gaussian_density(SYS, 0, 1), (4, 1))
         table = np.abs(char_table(SYS, rho))
         z = np.arange(9)
         expected = np.outer(z % 3 == 0, z % 9 == 0).astype(float)
@@ -368,7 +376,7 @@ class TestGaussianDensities:
     def test_spectra_depend_only_on_exponent_sum(self):
         a = np.sort(np.linalg.eigvalsh(gaussian_density(SYS, 1, 0)))
         b = np.sort(np.linalg.eigvalsh(gaussian_density(SYS, 0, 1)))
-        c = np.sort(np.linalg.eigvalsh(gaussian_density(SYS, 1, 0, shift=(3, 5))))
+        c = np.sort(np.linalg.eigvalsh(shifted(SYS, gaussian_density(SYS, 1, 0), (3, 5))))
         assert np.abs(a - b).max() < 1e-12
         assert np.abs(a - c).max() < 1e-12
 
@@ -425,11 +433,11 @@ class TestExactFiniteShiftConvention:
             alpha = Vec2(ax, ay)
             exact = GaussianState(standard_lattice(p), alpha)
             t = (int(-(p**m) * ax) % d, int(-(p**m) * ay) % d)
-            rho = gaussian_density(SYS, 0, 0, shift=t)
+            rho = shifted(SYS, gaussian_density(SYS, 0, 0), t)
             for z1 in range(-1, 2):
                 for z2 in range(-1, 2):
                     phase = exact.char(Vec2(z1, z2))
-                    want = 0j if phase is None else phase.to_complex()
+                    want = 0j if phase is None else cmath.exp(2j * math.pi * float(phase.angle))
                     got = np.trace(rho @ weyl_operator(SYS, (p**m * z1) % d, (p**m * z2) % d))
                     assert abs(got - want) < 1e-12
 
@@ -556,32 +564,18 @@ class TestShiftClasses:
             shift = (1, p + 1)
             agreed = differed = 0
             for e1, e2 in qpadic.oracle._state_exponents(system):
-                rho = gaussian_density(system, e1, e2, shift=shift)
+                centered = gaussian_density(system, e1, e2)
+                rho = shifted(system, centered, shift)
                 dual = _window_mask(system, exponent_lattice(p, e1, e2).dual())
                 for w1 in range(d):
                     for w2 in range(d):
-                        moved = gaussian_density(system, e1, e2, shift=(shift[0] + w1, shift[1] + w2))
+                        moved = shifted(system, centered, (shift[0] + w1, shift[1] + w2))
                         same = np.abs(moved - rho).max() < 1e-12
                         assert same == dual[w1, w2], (p, n, e1, e2, w1, w2)
                         agreed += same
                         differed += not same
             tallies[p, n] = agreed, differed
         assert tallies == {(3, 2): (162, 324), (5, 2): (950, 2800)}
-
-    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
-    def test_gather_matches_dense_conjugation(self, p, n):
-        # the shifted density conjugates by the monomial W(shift) as a gather; the dense
-        # product W rho W^H is the reference, over the shifts above where d <= 25
-        system = WeylSystem(p, n)
-        d = system.dim
-        steps = range(d) if d <= 25 else range(0, d, 13)
-        shifts = [(1 + w1, p + 1 + w2) for w1 in steps for w2 in steps] + [(-2, 7), (d + 1, -1)]
-        for e1, e2 in qpadic.oracle._state_exponents(system):
-            rho = gaussian_density(system, e1, e2)
-            for shift in shifts:
-                w = weyl_operator(system, *shift)
-                dense = w @ rho @ w.conj().T
-                assert np.abs(gaussian_density(system, e1, e2, shift=shift) - dense).max() < 1e-12
 
 
 class TestDensityValidation:
@@ -612,7 +606,7 @@ class TestDensityValidation:
             validate_density(past)
 
     def test_returns_ascending_spectrum(self):
-        rho = gaussian_density(SYS, 1, 0, shift=(3, 5))
+        rho = shifted(SYS, gaussian_density(SYS, 1, 0), (3, 5))
         lams = validate_density(rho)
         assert np.all(np.diff(lams) >= 0)
         assert np.abs(lams - np.linalg.eigvalsh(rho)).max() < 1e-15
@@ -785,9 +779,36 @@ class TestCompletePositivity:
     """Admissibility against complete positivity, a route that never reads the verdict's formula.
 
     The finite channel W(z) -> [z in S] W(K z), S the window image of the noise lattice, is
-    completely positive iff Holevo's kernel chi(h * (1 - det K) * D(s_i, s_j)) on S is positive
-    semidefinite; each coset block of its Choi matrix is unitarily equivalent to that kernel.
+    completely positive iff its Choi matrix C = d^-1 * sum over z in S of W(K z)^T (x) W(-z) is
+    positive semidefinite, and so iff Holevo's kernel chi(h * (1 - det K) * D(s_i, s_j)) on S is:
+    each coset block of C is unitarily equivalent to that kernel. C is d^2 x d^2, so it is built
+    at (3, 2) alone, and the kernel, with |S| rows, carries (5, 2).
     """
+
+    def test_dense_choi_is_psd_iff_admissible(self):
+        d, x = SYS.dim, np.arange(SYS.dim)
+        # the monomial entries of all d^2 Weyl operators, indexed by the flat point a * d + b
+        phases, cols = map(np.array, zip(*(_weyl_entries(SYS, a, b) for a in range(d) for b in range(d))))
+        verdicts, edge = [], 0
+        for lat in window_lattices(SYS):
+            z1, z2 = np.nonzero(_window_mask(SYS, lat))
+            minus = -z1 % d * d + -z2 % d
+            for k in admissibility_transforms(3):
+                ka, kb, kc, kd = k
+                image = (ka * z1 + kb * z2) % d * d + (kc * z1 + kd * z2) % d
+                # W(K z)^T holds phase[j] at (col[j], j) and W(-z) phase[k] at (k, col[k]), so the
+                # Kronecker product puts their product at (col[j] * d + k, j * d + col[k])
+                rows = cols[image][:, :, None] * d + x
+                columns = x[:, None] * d + cols[minus][:, None, :]
+                flat = (rows * d * d + columns).ravel()
+                values = (phases[image][:, :, None] * phases[minus][:, None, :]).ravel()
+                choi = np.bincount(flat, values.real, d**4) + 1j * np.bincount(flat, values.imag, d**4)
+                psd = np.linalg.eigvalsh(choi.reshape(d * d, d * d) / d).min() >= -1e-9
+                check = channel_validity(Mat2(*k), lat)
+                assert psd == check.ok, (k, lat)
+                verdicts.append(check.ok)
+                edge += check.product == 3
+        assert (len(verdicts), verdicts.count(False), edge) == (299, 32, 26)
 
     @pytest.mark.parametrize("p,n,counts", [(3, 2, (299, 32, 26)), (5, 2, (572, 36, 36))], ids=["3-2", "5-2"])
     def test_kernel_is_psd_iff_admissible(self, p, n, counts):
@@ -854,7 +875,7 @@ class TestBlockSpectrum:
         system = WeylSystem(p, n)
         d, m = system.dim, system.window
         densities = [
-            gaussian_density(system, e1, e2, shift=shift)
+            shifted(system, gaussian_density(system, e1, e2), shift)
             for e1 in range(-m, m + 1)
             for e2 in range(max(-m, -e1), m + 1)
             for shift in ((0, 0), (1, p + 1))
