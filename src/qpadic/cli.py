@@ -19,7 +19,7 @@ from .adelic import adelic_report, gain_exponent
 from .channels import GaussianChannel, GaussianState, channel_validity
 from .errors import InvariantViolation
 from .lattice import Lattice, Mat2, Vec2
-from .ledger import LogLedger
+from .ledger import _BASE_LABELS, LogLedger
 from .padic import require_prime
 
 
@@ -46,11 +46,9 @@ def _parse_lattice(text: str, p: int) -> Lattice:
     return Lattice(Mat2.parse(text), p)
 
 
-def _ledger_payload(ledger: LogLedger, base: str) -> dict:
-    return {
-        "terms": {str(q): e for q, e in ledger.terms.items()},
-        f"value_base_{base}": ledger.render(base),
-    }
+def _valued(ledger: LogLedger, base: str, **fields) -> dict:
+    """The given fields plus the ledger's text in the chosen log base, keyed value_base_<base>."""
+    return {**fields, f"value_base_{base}": ledger.render(base)}
 
 
 def _abbreviated(message: str) -> str:
@@ -91,12 +89,7 @@ def _cmd_channel(args) -> tuple[dict, int]:
     transform = Mat2.parse(args.transform)
     if args.action == "gain":
         exponent = gain_exponent(transform, p)
-        ledger = LogLedger.single(p, exponent)
-        return {
-            "exponent": exponent,
-            "prime": p,
-            f"value_base_{args.log_base}": ledger.render(args.log_base),
-        }, 0
+        return _valued(LogLedger.single(p, exponent), args.log_base, exponent=exponent, prime=p), 0
     noise = _parse_lattice(args.noise, p)
     if args.action == "validate":
         check = channel_validity(transform, noise)
@@ -112,10 +105,11 @@ def _cmd_channel(args) -> tuple[dict, int]:
     state_lat = _parse_lattice(args.state, p)
     shift = Vec2.parse(args.shift) if args.shift is not None else Vec2.zero()
     out = channel.apply(GaussianState(state_lat, shift))
+    entropy = out.entropy()
     return {
         "basis": str(out.lattice.canonical),
         "shift": str(out.shift),
-        "entropy": _ledger_payload(out.entropy(), args.log_base),
+        "entropy": _valued(entropy, args.log_base, terms={str(q): e for q, e in entropy.terms.items()}),
     }, 0
 
 
@@ -127,7 +121,10 @@ def _cmd_adelic(args) -> tuple[dict, int]:
 def _cmd_oracle(args) -> tuple[dict, int]:
     from .oracle import WeylSystem, run_battery  # the only command that loads numpy
     system = WeylSystem(args.p, args.N)
-    report = run_battery(system, max_cases=args.max_cases)
+    if args.max_cases is not None and args.max_cases < 0:
+        raise ValueError(f"--max-cases must be non-negative, got {args.max_cases}")
+    report = run_battery(system)
+    report["channel_cases"] = report["channel_cases"][: args.max_cases]  # the listing, not the verdict
     return report, 0 if report["all_checks_pass"] else 2
 
 
@@ -164,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--state", required=True)
             sub.add_argument("--shift", default=None)
         if action in ("apply", "gain"):
-            sub.add_argument("--log-base", choices=("e", "2", "10"), default="e", dest="log_base")
+            sub.add_argument("--log-base", choices=tuple(_BASE_LABELS), default="e", dest="log_base")
         sub.set_defaults(run=_cmd_channel)
 
     ade = top.add_parser("adelic", help="sum-zero gain report", parents=[shared])

@@ -65,10 +65,6 @@ class Vec2(FrozenValue):
     def __neg__(self) -> "Vec2":
         return Vec2._of(-self.x, -self.y)
 
-    def scaled(self, s: Fraction | int) -> "Vec2":
-        s = as_rational(s)
-        return Vec2._of(self.x * s, self.y * s)
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 

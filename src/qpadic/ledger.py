@@ -3,7 +3,7 @@
 Entropies and entropy gains in this package always take the form
 sum_q e_q * log(q) over finitely many primes q with integer exponents.
 They are stored symbolically and compared exactly; the float in nats and
-the text in base e, 2 or 10 are presentation concerns.
+the text in each base of _BASE_LABELS are presentation concerns.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .padic import require_prime
 
 __all__ = ["LogLedger"]
 
+#: The log bases that render and the CLI accept, each with its label in the text form.
 _BASE_LABELS = {"e": "ln", "2": "log2", "10": "log10"}
 
 
@@ -81,7 +82,7 @@ class LogLedger:
     def render(self, base: str = "e") -> str:
         """Deterministic text form, e.g. '-1*ln(3)' or '2*log2(3) + 1*log2(5)'."""
         if base not in _BASE_LABELS:
-            raise ValueError(f"unknown log base {base!r}; expected one of e, 2, 10")
+            raise ValueError(f"unknown log base {base!r}; expected one of {', '.join(_BASE_LABELS)}")
         if not self._terms:
             return "0"
         return " + ".join(f"{e}*{_BASE_LABELS[base]}({q})" for q, e in self._terms.items())

@@ -409,7 +409,7 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
     return cases
 
 
-def run_battery(system: WeylSystem, max_cases: int | None = None) -> dict:
+def run_battery(system: WeylSystem) -> dict:
     """Full deterministic oracle run: CCR, states, Fourier duality, channels.
 
     Returns a JSON-ready dict; 'all_checks_pass' aggregates every check at its own tolerance:
@@ -417,10 +417,7 @@ def run_battery(system: WeylSystem, max_cases: int | None = None) -> dict:
     character table's from the indicator and |sum(lam^2) - 1| below 1e-10, and the entropy
     within 1e-9 of the ledger's; per channel case, a predicted state with min eigenvalue
     >= -1e-9 and within 1e-9 of flat, a predicted non-state with an eigenvalue below -1e-6.
-    max_cases trims the listed channel cases, not the scan behind the verdict.
     """
-    if max_cases is not None and max_cases < 0:
-        raise ValueError(f"max_cases must be non-negative, got {max_cases}")
     p = system.p
 
     ccr_dev, ccr_pairs = ccr_scan(system)
@@ -473,7 +470,7 @@ def run_battery(system: WeylSystem, max_cases: int | None = None) -> dict:
     for k in transforms:
         for noise in noises:
             channel_cases.extend(channel_scan(system, k, noise))
-    channels_ok = all(case.agree for case in channel_cases)  # over every case, listed or not
+    channels_ok = all(case.agree for case in channel_cases)
 
     all_ok = ccr_dev < 1e-10 and fourier_dev < 1e-10 and all(row["ok"] for row in states) and channels_ok
     return {
@@ -483,6 +480,6 @@ def run_battery(system: WeylSystem, max_cases: int | None = None) -> dict:
         "states": states,
         "fourier_max_deviation": fourier_dev,
         # vars, not dataclasses.asdict, which deep-copies every spectrum entry
-        "channel_cases": [vars(case) for case in channel_cases[:max_cases]],
+        "channel_cases": [vars(case) for case in channel_cases],
         "all_checks_pass": bool(all_ok),
     }

@@ -42,7 +42,7 @@ _LITERAL_DIGITS = 1000
 
 
 def as_rational(x: Fraction | int | str) -> Fraction:
-    """Coerce an int, a Fraction, or a string like "-3/7" to a Fraction.
+    """Coerce an int other than a bool, a Fraction, or a string like "-3/7" to a Fraction.
 
     Strings may use the unicode minus sign. A zero denominator or any
     other malformed literal raises ValueError rather than leaking the
@@ -51,7 +51,7 @@ def as_rational(x: Fraction | int | str) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         text = x.strip().replace("−", "-").replace("–", "-")

@@ -135,6 +135,23 @@ def rng() -> random.Random:
     return random.Random(20260816)
 
 
+def count_calls(monkeypatch, owner, name, record=lambda *args: args, calls=None):
+    """Patch owner.name to record each call and then call through; returns the list of records.
+
+    A record is record(*args) of the call's positional arguments, by default their tuple. Pass
+    calls to share one list between patches, which keeps the order of calls across them.
+    """
+    calls = [] if calls is None else calls
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(record(*args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def window_lattices(system) -> list[Lattice]:
     """Every lattice of the oracle window at system, sorted by (a, b, slope).
 
@@ -159,6 +176,12 @@ def window_lattices(system) -> list[Lattice]:
 WINDOW_LATTICE_COUNTS = {(3, 2): (23, 14), (5, 2): (45, 36), (7, 2): (75, 66), (3, 4): (237, 212)}
 
 
+def battery_transforms(p):
+    """run_battery's transforms at p: diagonals, then shears and a nonzero-corner transform."""
+    return [(1, 0, 0, 1), (p, 0, 0, 1), (1, 0, 0, p), (2, 0, 0, 1), (p, 0, 0, p),
+            (1, 1, 0, 1), (2, 1, 1, 1), (1, 0, 1, 1), (3, 0, 3, 1)]
+
+
 @pytest.fixture
 def failing_last_scan(monkeypatch):
     """Plant one disagreeing case at the end of the oracle battery's last channel scan."""
@@ -173,3 +196,11 @@ def failing_last_scan(monkeypatch):
         return cases
 
     monkeypatch.setattr(qpadic.oracle, "channel_scan", planted)
+
+
+@pytest.fixture
+def no_ccr(monkeypatch):
+    """Stub the CCR scan, most of a battery's time, in tests that read no CCR result."""
+    import qpadic.oracle
+
+    monkeypatch.setattr(qpadic.oracle, "ccr_scan", lambda system: (0.0, 0))

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qpadic import adelic
@@ -14,8 +15,9 @@ from qpadic.adelic import (
     gain_exponent,
 )
 from qpadic.lattice import Mat2
+from qpadic.ledger import LogLedger
 
-from conftest import rand_symplectic
+from conftest import battery_transforms, rand_symplectic
 
 
 #: Primes above the trial-division bound, so only Miller-Rabin and rho find them.
@@ -150,3 +152,61 @@ class TestReport:
             "real": {"2": 2, "3": 1, "5": -1},
             "sum_is_zero": True,
         }
+
+
+def thermal_entropy(nu: float) -> float:
+    """Entropy in nats of the one-mode thermal state of symplectic eigenvalue nu > 1/2 (hbar = 1),
+    (nu + 1/2) log(nu + 1/2) - (nu - 1/2) log(nu - 1/2), in a form that keeps its digits at large nu."""
+    return math.log(nu) + (nu + 0.5) * math.log1p(0.5 / nu) - (nu - 0.5) * math.log1p(-0.5 / nu)
+
+
+def least_noise(k: Mat2) -> Fraction:
+    """n of the least isotropic noise N = n * I for which V -> K V K^T + N is completely positive."""
+    return abs(1 - k.det()) / 2
+
+
+def real_channel_gain(k: Mat2) -> float:
+    """Entropy gain of V -> K V K^T + least_noise(k) * I on the thermal input V = nu * I.
+
+    The output covariance is exact and its symplectic eigenvalue is sqrt(det). The gain tends to
+    log|det K| with the error n tr(K K^T) / (2 nu det(K)^2) to first order, so nu starts at 1e12
+    and grows with that ratio, holding the error below 1e-12 however near singular K is.
+    """
+    n, trace = least_noise(k), k.a**2 + k.b**2 + k.c**2 + k.d**2  # trace = tr(K K^T)
+    nu = 10**12 * max(1, math.ceil(n * trace / k.det() ** 2))
+    v = k @ Mat2.diagonal(nu, nu) @ Mat2(k.a, k.c, k.b, k.d)
+    out = Mat2(v.a + n, v.b, v.c, v.d + n)
+    return thermal_entropy(math.sqrt(out.det())) - thermal_entropy(nu)
+
+
+def rand_real_transform(rng: random.Random) -> Mat2:
+    """A nonsingular K with entries n / d, |n| <= 30 and 1 <= d <= 12."""
+    while True:
+        k = Mat2(*(Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(4)))
+        if k.det():
+            return k
+
+
+class TestRealPlace:
+    """The real place of the sum-zero formula as a computed entropy gain, not a definition."""
+
+    TRANSFORMS = sorted({Mat2(*k) for p in (3, 5, 7) for k in battery_transforms(p)}, key=str)
+
+    def corpus(self) -> list[Mat2]:
+        rng = random.Random(54)
+        return self.TRANSFORMS + [rand_real_transform(rng) for _ in range(300)]
+
+    def test_real_gain_is_the_real_term(self):
+        # |det K| = 1 for the identity and the shears; diag(p, 1) and the corner transform test the sign
+        assert any(abs(k.det()) != 1 for k in self.TRANSFORMS)
+        for k in self.corpus():
+            assert abs(real_channel_gain(k) - LogLedger(adelic_report(k).real_gain).value()) < 1e-8
+
+    def test_least_noise_is_the_complete_positivity_bound(self):
+        # N + (i/2)(1 - det K) Omega >= 0, Omega = [[0, 1], [-1, 0]], holds at the bound and fails below it
+        omega = np.array([[0, 1], [-1, 0]])
+        for k in self.corpus():
+            n, twist = float(least_noise(k)), 0.5j * float(1 - k.det()) * omega
+            assert np.linalg.eigvalsh(n * np.eye(2) + twist).min() >= -1e-12 * n
+            if k.det() != 1:
+                assert np.linalg.eigvalsh(0.99 * n * np.eye(2) + twist).min() < 0

@@ -15,6 +15,7 @@ from qpadic.padic import Prime, additive_character, padic_norm, valuation
 
 from conftest import (
     PRIMES,
+    count_calls,
     rand_basis,
     rand_lattice,
     rand_rational,
@@ -159,8 +160,7 @@ class TestCharacteristicFunction:
 
 def dual_point(rng: random.Random, lat: Lattice) -> Vec2:
     """A point of L^perp = L.dual(): an integer combination of the dual's canonical columns."""
-    u, v = lat.dual().canonical.columns()
-    return u.scaled(rng.randint(-9, 9)) + v.scaled(rng.randint(-9, 9))
+    return lat.dual().canonical @ Vec2(rng.randint(-9, 9), rng.randint(-9, 9))
 
 
 class TestStateEquality:
@@ -185,7 +185,7 @@ class TestStateEquality:
             for _ in range(60):
                 state = rand_state(rng, p, shifted=True)
                 w, columns = dual_point(rng, state.lattice), state.lattice.canonical.columns()
-                for other in (w, w.scaled(Fraction(1, p)), rand_vector(rng, p)):
+                for other in (w, Vec2(w.x / p, w.y / p), rand_vector(rng, p)):
                     twin = GaussianState(state.lattice, state.shift + other)
                     same = all(state.char(z) == twin.char(z) for z in columns)
                     assert (state == twin) == same
@@ -571,14 +571,7 @@ class TestDerivedOnce:
     def test_witness_reductions(self, monkeypatch):
         rng = random.Random(43)
         channels = [rand_valid_channel(rng, p) for p in PRIMES for _ in range(4)]
-        calls = []
-        image = Lattice._image
-
-        def counting(lat, g, s):
-            calls.append(s)
-            return image(lat, g, s)
-
-        monkeypatch.setattr(Lattice, "_image", counting)
+        calls = count_calls(monkeypatch, Lattice, "_image", lambda lat, g, s: s)
         for built in channels:
             calls.clear()
             chan = GaussianChannel(built.transform, built.noise)  # one image, K^-1 L = adj K (p**g L)
@@ -595,13 +588,7 @@ class TestDerivedOnce:
     def test_witness_sequence_builds_no_canonical_matrix(self, monkeypatch):
         # the exact-witness sequence reads (a, b, c) only; the canonical Mat2 waits for a reader
         p, k = 3, Mat2.parse("1,1;0,3")
-        built, lazy = [], Lattice.__getattr__
-
-        def counting(lat, name):
-            built.append(name)
-            return lazy(lat, name)
-
-        monkeypatch.setattr(Lattice, "__getattr__", counting)
+        built = count_calls(monkeypatch, Lattice, "__getattr__", lambda lat, name: name)
         noise = Lattice(Mat2.parse("9,3;1,2/3"), p)
         chan = GaussianChannel(k, noise)
         n0 = chan.witness_threshold()
@@ -617,14 +604,6 @@ class TestDerivedOnce:
     def test_threshold_computed_once(self, monkeypatch):
         k, noise = Mat2.diagonal(9, 1), standard_lattice(3)
         calls = []
-
-        def counting(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-
-            return wrapper
-
         for owner, name in (
             (Mat2, "inverse"),
             (Mat2, "__matmul__"),
@@ -633,7 +612,7 @@ class TestDerivedOnce:
             (Mat2, "scaled"),
             (qpadic.lattice, "_image_of"),
         ):
-            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+            count_calls(monkeypatch, owner, name, lambda *args, name=name: name, calls)
         chan = GaussianChannel(k, noise)
         assert all(getattr(chan, slot) is not None for slot in GaussianChannel.__slots__)
         # the int ratio of det K once, shared by admissibility and g = -v(det K); one reduction,
@@ -654,20 +633,12 @@ class TestDerivedOnce:
         pairs = [(c.transform, c.noise) for c in (rand_valid_channel(rng, p) for p in PRIMES for _ in range(20))]
         bad = (Mat2.diagonal(4, 1), diag_lattice(3, Fraction(1, 3), Fraction(1, 3)))
         calls = []
-
-        def spy(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-
-            return wrapper
-
         for name in ("padic_norm", "channel_validity", "ChannelValidity"):
-            monkeypatch.setattr(qpadic.channels, name, spy(name, getattr(qpadic.channels, name)))
+            count_calls(monkeypatch, qpadic.channels, name, lambda *args, name=name: name, calls)
         for name in ("det", "inverse", "scaled"):
-            monkeypatch.setattr(Mat2, name, spy(name, getattr(Mat2, name)))
+            count_calls(monkeypatch, Mat2, name, lambda *args, name=name: name, calls)
         measure = Lattice.measure.fget
-        monkeypatch.setattr(Lattice, "measure", property(spy("measure", measure)))
+        monkeypatch.setattr(Lattice, "measure", property(lambda lat: calls.append("measure") or measure(lat)))
         for k, noise in pairs:
             GaussianChannel(k, noise)
         assert calls == []
@@ -679,13 +650,8 @@ class TestDerivedOnce:
         # adj(K) fixes the zero shift of every witness input; a nonzero shift takes one adj(K) @ alpha
         rng = random.Random(46)
         channels = [rand_valid_channel(rng, p) for p in PRIMES for _ in range(4)]
-        products, matmul = [], Mat2.__matmul__
-
-        def counting(m, other):
-            products.append(other)
-            return matmul(m, other)
-
-        monkeypatch.setattr(Mat2, "__matmul__", counting)
+        matmul = Mat2.__matmul__
+        products = count_calls(monkeypatch, Mat2, "__matmul__", lambda m, other: other)
         assert GaussianState(standard_lattice(3)).shift is Vec2.zero()  # one shared zero vector
         for chan in channels:
             n0 = chan.witness_threshold()

@@ -257,6 +257,9 @@ class TestNegativeLiterals:
         assert run_cli(args) == (1, "", "error: argument --basis: expected one argument\n")
 
 
+ORACLE = ["oracle", "--p", "3", "--N", "2"]
+
+
 class TestOracleCommand:
     def test_small_battery_run(self):
         code, out, err = run_cli(
@@ -273,9 +276,35 @@ class TestOracleCommand:
         assert (code, err) == (2, "")
         assert payload["all_checks_pass"] is False and payload["channel_cases"] == []
 
+    def test_max_cases_truncates(self, no_ccr):
+        full = json.loads(run_cli(ORACLE)[1])
+        report = json.loads(run_cli([*ORACLE, "--max-cases", "5"])[1])
+        assert report["channel_cases"] == full["channel_cases"][:5]
+
+    def test_max_cases_keeps_the_verdict(self, no_ccr, failing_last_scan):
+        # a disagreeing case past the cut still fails the battery
+        code, out, _ = run_cli(ORACLE)
+        full = json.loads(out)
+        last = full["channel_cases"][-1]
+        assert (last["transform"], last["noise"], last["agree"]) == ([3, 0, 3, 1], [1, -1], False)
+        assert sum(not case["agree"] for case in full["channel_cases"]) == 1
+        assert (code, full["all_checks_pass"]) == (2, False)
+        for limit in (5, 0):
+            code, out, _ = run_cli([*ORACLE, "--max-cases", str(limit)])
+            report = json.loads(out)
+            assert (code, report["all_checks_pass"]) == (2, False)
+            assert report["channel_cases"] == full["channel_cases"][:limit]
+
+    def test_negative_max_cases_names_the_flag(self):
+        want = "error: --max-cases must be non-negative, got -1\n"
+        assert run_cli([*ORACLE, "--max-cases", "-1"]) == (1, "", want)
+        # an invalid system is reported before the flag
+        code, _, err = run_cli(["oracle", "--p", "4", "--N", "2", "--max-cases", "-1"])
+        assert (code, err) == (1, "error: p must be an odd prime, got 4\n")
+
     def test_failed_battery_exits_two(self, monkeypatch):
         monkeypatch.setattr(
-            qpadic.oracle, "run_battery", lambda *a, **k: {"all_checks_pass": False}
+            qpadic.oracle, "run_battery", lambda *a, **k: {"all_checks_pass": False, "channel_cases": []}
         )
         code, out, _ = run_cli(["oracle", "--p", "3", "--N", "2"])
         assert code == 2

@@ -91,15 +91,43 @@ def test_every_public_name_has_an_owner():
     assert {module: names for module, names in unowned.items() if names} == {}
 
 
-def test_every_public_method_has_an_owner():
-    # the same rule one level down, for each public method, property and field of an exported class;
-    # a read of the same name on another class counts too, so this is a floor on the surface, not a proof
-    used = owned_names()
-    unowned = []
+def public_members() -> list[tuple[str, str]]:
+    """(class, member) for each public method, property and field of an exported class."""
+    members = []
     for module in MODULES:
         mod = importlib.import_module(f"qpadic.{module}")
         for name in mod.__all__:
             cls = getattr(mod, name)
             if isinstance(cls, type):
-                unowned += [f"{name}.{attr}" for attr in vars(cls) if not attr.startswith("_") and attr not in used]
-    assert unowned == []
+                members += [(name, attr) for attr in vars(cls) if not attr.startswith("_")]
+    return members
+
+
+def test_every_public_method_has_an_owner():
+    # the same rule one level down, for each public method, property and field of an exported class;
+    # a read of the same name on another class counts too, so this is a floor on the surface, not a proof
+    used = owned_names()
+    assert [f"{cls}.{attr}" for cls, attr in public_members() if attr not in used] == []
+
+
+#: The members that two or more exported classes define, which the name match above cannot tell
+#: apart. Each has an owner on every class that defines it, read on a value of that type, except
+#: PhaseQ.inverse, the group inverse of a phase, which only the unit tests read.
+SHARED_MEMBERS = {
+    "a": {"Lattice", "Mat2"},
+    "b": {"Lattice", "Mat2"},
+    "det": {"AdelicGainReport", "Mat2"},
+    "inverse": {"Mat2", "PhaseQ"},
+    "is_zero": {"LogLedger", "Vec2"},
+    "p": {"GaussianChannel", "GaussianState", "Lattice"},
+    "parse": {"Mat2", "Vec2"},
+    "scaled": {"Lattice", "Mat2"},
+}
+
+
+def test_shared_member_names_are_pinned():
+    # a new shared name fails here until its owner is checked by type and the pin updated
+    classes: dict[str, set[str]] = {}
+    for cls, attr in public_members():
+        classes.setdefault(attr, set()).add(cls)
+    assert {attr: names for attr, names in classes.items() if len(names) > 1} == SHARED_MEMBERS

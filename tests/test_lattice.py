@@ -21,6 +21,7 @@ from qpadic.padic import Prime, fractional_part, p_power, padic_norm, valuation
 
 from conftest import (
     PRIMES,
+    count_calls,
     rand_basis,
     rand_lattice,
     rand_rational,
@@ -66,7 +67,7 @@ def generic_reduction(cols: list[Vec2], p: int) -> Mat2:
         if i == i0:
             continue
         if col.x != 0:
-            col = col - u.scaled(col.x / u.x)
+            col = Vec2(0, col.y - col.x / u.x * u.y)
         if col.y != 0:
             second_row.append((valuation(col.y, p), i, col))
     if not second_row:
@@ -74,7 +75,7 @@ def generic_reduction(cols: list[Vec2], p: int) -> Mat2:
     _, _, v = min(second_row, key=lambda item: item[:2])
 
     a = valuation(u.x, p)
-    u = u.scaled(p_power(p, a) / u.x)
+    u = Vec2(p_power(p, a), p_power(p, a) / u.x * u.y)
     pb = p_power(p, valuation(v.y, p))
     return Mat2(p_power(p, a), 0, pb * fractional_part(u.y / pb, p), pb)
 
@@ -475,18 +476,17 @@ class TestContainment:
                 lat = rand_lattice(rng, p)
                 u, v = lat.canonical.columns()
                 assert lat.contains(u) and lat.contains(v)
-                assert lat.contains(u + v) and lat.contains(u - v.scaled(3))
+                assert lat.contains(u + v) and lat.contains(lat.canonical @ Vec2(1, -3))
                 # leaving the lattice: dividing a pivot generator by p
-                assert not lat.contains(u.scaled(Fraction(1, p)))
+                assert not lat.contains(Vec2(u.x / p, u.y / p))
 
     def test_integral_combinations_stay_inside(self):
         rng = random.Random(26)
         for _ in range(30):
             lat = rand_lattice(rng, 5)
-            u, v = lat.canonical.columns()
             a = rand_rational(rng, 5, 0, 3)
             b = rand_rational(rng, 5, 0, 3)
-            assert lat.contains(u.scaled(a) + v.scaled(b))
+            assert lat.contains(lat.canonical @ Vec2(a, b))
 
     def test_matches_cramer_on_the_user_basis(self):
         # the reference reads only the basis as given: z = B x with x_i = det(B with column i
@@ -505,7 +505,7 @@ class TestContainment:
                     c1, c2 = (
                         Fraction(0) if rng.random() < 0.15 else rand_rational(rng, p, -1, 2) for _ in "xy"
                     )
-                    z = u.scaled(c1) + v.scaled(c2)
+                    z = basis @ Vec2(c1, c2)
                 det = u.x * v.y - u.y * v.x
                 x1, x2 = (z.x * v.y - z.y * v.x) / det, (u.x * z.y - u.y * z.x) / det
                 expected = x1.denominator % p != 0 and x2.denominator % p != 0
@@ -703,19 +703,8 @@ class TestReductionCount:
             "dual": a.dual,
             "scaled": lambda: a.scaled(2),
         }
-        reductions, images = [], []
-        reduce, image = qpadic.lattice._image_of, Lattice._image
-
-        def counting_reduce(*args):
-            reductions.append(args)
-            return reduce(*args)
-
-        def counting_image(lat, g, s):
-            images.append(g)
-            return image(lat, g, s)
-
-        monkeypatch.setattr(qpadic.lattice, "_image_of", counting_reduce)
-        monkeypatch.setattr(Lattice, "_image", counting_image)
+        reductions = count_calls(monkeypatch, qpadic.lattice, "_image_of")
+        images = count_calls(monkeypatch, Lattice, "_image", lambda lat, g, s: g)
         ops[op]()
         assert len(reductions) == expected
         # the image of a transform goes through the one image helper, which reduces once
@@ -839,8 +828,7 @@ class TestPrimeCarried:
         state = GaussianState(a.scaled(1), Vec2(1, Fraction(1, p)))
         channel = GaussianChannel(Mat2.diagonal(p, 1), standard_lattice(p))
         assert type(a.p) is Prime and type(state.p) is Prime and type(channel.p) is Prime
-        calls = []
-        monkeypatch.setattr(qpadic.padic, "is_prime", lambda n: calls.append(n))
+        calls = count_calls(monkeypatch, qpadic.padic, "is_prime")
         lattices = [
             a.dual(),
             a & b,

@@ -49,7 +49,7 @@ from qpadic.oracle import (
     weyl_operator,
 )
 
-from conftest import window_lattices
+from conftest import battery_transforms, count_calls, window_lattices
 
 SYS = WeylSystem(3, 2)
 BATTERY_SYSTEMS = ((3, 2), (5, 2), (7, 2), (3, 4))
@@ -78,18 +78,6 @@ def dense_ccr_defect(system, a1, b1, a2, b2, weyl=weyl_operator):
     return np.linalg.norm(lhs - phase * weyl(system, a1 + a2, b1 + b2), 2)
 
 
-def count_calls(monkeypatch, owner, name):
-    """Patch owner.name to record the arguments of each call; returns the list it fills."""
-    calls, real = [], getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 def indicator(system, k):
     """Boolean vector of the subgroup p^k Z / p^N Z of Z/p^N."""
     return np.arange(system.dim) % (system.p**k) == 0
@@ -114,12 +102,6 @@ def scan_mask(system, transform, noise, inputs):
         & indicator(system, m + inputs[1])[(kc * z1 + kd * z2) % d]
         & product_mask(system, m + noise[0], m + noise[1])
     )
-
-
-def battery_transforms(p):
-    """run_battery's transforms at p: diagonals, then shears and a nonzero-corner transform."""
-    return [(1, 0, 0, 1), (p, 0, 0, 1), (1, 0, 0, p), (2, 0, 0, 1), (p, 0, 0, p),
-            (1, 1, 0, 1), (2, 1, 1, 1), (1, 0, 1, 1), (3, 0, 3, 1)]
 
 
 NOISES = ((0, 0), (-1, 0), (1, -1))
@@ -154,8 +136,7 @@ class TestSystemParameters:
     def test_holds_a_prime_and_scans_without_testing_it(self, monkeypatch):
         system = WeylSystem(3, 2)
         assert type(system.p) is Prime and system == SYS and repr(system) == "WeylSystem(p=3, N=2)"
-        calls = []
-        monkeypatch.setattr(qpadic.padic, "is_prime", lambda n: calls.append(n))
+        calls = count_calls(monkeypatch, qpadic.padic, "is_prime")
         assert all(case.agree for case in channel_scan(system, Mat2.diagonal(3, 1), (0, 0)))
         assert type(exponent_lattice(system.p, 1, 0).p) is Prime and calls == []
 
@@ -724,14 +705,8 @@ class TestChannelScan:
     def test_shared_masks_keep_their_own_spectra(self, p, n, monkeypatch):
         # shears make non-product output masks; a case must never carry another case's spectrum
         system = WeylSystem(p, n)
-        solves = []
         eigvalsh = np.linalg.eigvalsh
-
-        def counted(a):
-            solves.append(a.shape)
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        solves = count_calls(monkeypatch, np.linalg, "eigvalsh")
         total = 0
         for k in ((1, 1, 0, 1), (2, 1, 1, 1), (1, 1, 1, 1 + p)):
             for noise in ((0, 0), (-1, 0), (1, -1)):
@@ -880,13 +855,7 @@ class TestBlockSpectrum:
             for e2 in range(max(-m, -e1), m + 1)
             for shift in ((0, 0), (1, p + 1))
         ]
-        solve = qpadic.oracle._block_spectrum
-
-        def recorded(h):
-            densities.append(h)
-            return solve(h)
-
-        monkeypatch.setattr(qpadic.oracle, "_block_spectrum", recorded)
+        count_calls(monkeypatch, qpadic.oracle, "_block_spectrum", lambda h: h, densities)
         for k in battery_transforms(p):
             for noise in NOISES:
                 channel_scan(system, Mat2(*k), noise)
@@ -949,12 +918,6 @@ def output_lattice(p, case):
     return exponent_lattice(p, *case["input"]).transformed(inverse) & exponent_lattice(p, *case["noise"])
 
 
-@pytest.fixture
-def no_ccr(monkeypatch):
-    """Stub the CCR scan, most of a battery's time, in tests that read no CCR result."""
-    monkeypatch.setattr(qpadic.oracle, "ccr_scan", lambda system: (0.0, 0))
-
-
 @pytest.fixture(scope="module")
 def battery():
     """One (3, 2) battery report, shared by the tests that only read it."""
@@ -992,26 +955,19 @@ class TestBattery:
         ],
     )
     def test_a_fault_in_the_exact_state_facts_fails(self, monkeypatch, no_ccr, name, fault):
-        assert run_battery(SYS, max_cases=0)["all_checks_pass"] is True
+        assert run_battery(SYS)["all_checks_pass"] is True
         monkeypatch.setattr(GaussianState, name, fault)
-        assert run_battery(SYS, max_cases=0)["all_checks_pass"] is False
+        assert run_battery(SYS)["all_checks_pass"] is False
 
     def test_pure_exactly_at_exponent_sum_zero(self, battery):
-        for rows in (battery["states"], run_battery(WeylSystem(3, 4), max_cases=0)["states"]):
+        for rows in (battery["states"], run_battery(WeylSystem(3, 4))["states"]):
             assert any(row["pure"] for row in rows)
             assert any(not row["pure"] for row in rows)
             for row in rows:
                 assert row["pure"] is (sum(row["exponents"]) == 0)
 
     def test_one_eigensolve_per_state_and_case(self, monkeypatch):
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
         report = run_battery(SYS)
         # one solve per distinct output lattice within each (transform, noise) scan
         outputs = {
@@ -1040,19 +996,3 @@ class TestBattery:
         rows = report["states"] + report["channel_cases"]
         zeros = [v for row in rows for value in row.values() for v in np.ravel(value) if v == 0.0]
         assert zeros and all(math.copysign(1.0, v) == 1.0 for v in zeros)
-
-    def test_max_cases_truncates(self, no_ccr, battery):
-        report = run_battery(SYS, max_cases=5)
-        assert report["channel_cases"] == battery["channel_cases"][:5]
-
-    def test_max_cases_keeps_the_verdict(self, no_ccr, failing_last_scan):
-        # a disagreeing case past the cut still fails the battery
-        full = run_battery(SYS)
-        last = full["channel_cases"][-1]
-        assert (last["transform"], last["noise"], last["agree"]) == ((3, 0, 3, 1), (1, -1), False)
-        assert sum(not case["agree"] for case in full["channel_cases"]) == 1
-        assert full["all_checks_pass"] is False
-        for limit in (5, 0):
-            report = run_battery(SYS, max_cases=limit)
-            assert report["all_checks_pass"] is False
-            assert report["channel_cases"] == full["channel_cases"][:limit]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import qpadic.padic
 from qpadic import cli
 from qpadic.adelic import adelic_report
-from qpadic.lattice import Mat2
+from qpadic.lattice import Mat2, Vec2
 from qpadic.ledger import LogLedger
 from qpadic.padic import (
     INFINITY,
@@ -28,7 +28,7 @@ from qpadic.padic import (
     valuation,
 )
 
-from conftest import PRIMES
+from conftest import PRIMES, count_calls
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6
@@ -195,6 +195,19 @@ class TestParsingAndPrimes:
         with pytest.raises(TypeError):
             as_rational(0.5)
 
+    def test_a_bool_is_refused(self):
+        # Python counts a bool as an int; here it is no rational, as it is no prime
+        for build in (
+            lambda: as_rational(True),
+            lambda: Vec2(True, False),
+            lambda: Mat2(1, 0, 0, True),
+            lambda: PhaseQ(False),
+            lambda: valuation(True, 3),
+        ):
+            with pytest.raises(TypeError, match="cannot interpret bool as a rational"):
+                build()
+        assert as_rational(Prime(3)) == 3 and Vec2(1, 0) == Vec2(Fraction(1), Fraction(0))
+
     def test_as_rational_size_cap(self):
         # length plus decimal exponent may reach 1000, no further
         assert as_rational("1e995") == 10**995
@@ -257,15 +270,7 @@ class TestParsingAndPrimes:
 @pytest.fixture
 def prime_tests(monkeypatch):
     """Every argument is_prime is called with, through any caller."""
-    calls = []
-    test = qpadic.padic.is_prime
-
-    def counting(n):
-        calls.append(n)
-        return test(n)
-
-    monkeypatch.setattr(qpadic.padic, "is_prime", counting)
-    return calls
+    return count_calls(monkeypatch, qpadic.padic, "is_prime", lambda n: n)
 
 
 class TestPrime:
