@@ -16,14 +16,14 @@ p^m Z_p^2 <= L <= p^-m Z_p^2 becomes its window image, the points
 z1 = p^(m+a) * t, z2 = s * t mod p^(m+b) with s = sigma * p^(m+a) an integer.
 One builder makes every such mask; the Fourier check compares the annihilator of
 a mask with the mask of the exact dual. One builder makes every density,
-p^(-N) * sum of W(-z) over a point set S, as one inverse DFT over z2 of the rows
-z1 that meet S, scattered in place: the image of a state lattice gives an exact
-Gaussian state, its pullback by K within the noise image a channel output.
-Every phase is read from one table of the p^N roots of unity, built once per
-system. Spectra take one path, a stacked solve over the coset blocks of the
-matrix's own nonzero offsets (one block is the full solve); a channel scan
-solves each distinct output density once, as built, and checks every case
-against its own exact prediction. The CCR check takes every pair when phase
+p^(-N) * sum of W(-z) over a point set S, as one inverse DFT over z2 of the rows z1
+that meet S, scattered through one index table per system: the image of a state
+lattice gives an exact Gaussian state, its pullback by K within the noise image a
+channel output. Every phase is read from one table of the p^N roots of unity, built
+once per system. Spectra take one path, a stacked solve over the coset blocks of the
+matrix's own nonzero offsets (one block is the full solve, 1x1 blocks the diagonal); a
+channel scan solves each distinct output density once, as built, and judges each pair
+of density and exact prediction once. The CCR check takes every pair when phase
 space has at most 81 points, else 500 pairs from random.Random(0), and reads the norm
 of a monomial defect off its largest |entry| (SVD otherwise). The exact layer owns the rules:
 GaussianState refuses measure > 1 and gives each state's rank, entropy and purity, and
@@ -125,6 +125,14 @@ class WeylSystem:
         d, x = self.dim, np.arange(self.dim)
         return (x[:, None] + x) % d * d + x, self._roots[(self.half * np.outer(x, x)) % d]
 
+    @cached_property
+    def _density_scatter(self) -> np.ndarray:
+        """_subgroup_density's table: the flat index in rho of inverse-DFT entry [z1, k], at row
+        x = h*z1 - k and column x - z1, where W(-z1, -z2)[x, x - z1] = exp(2*pi*i*z2*(h*z1 - x)/d)."""
+        d, z = self.dim, np.arange(self.dim)
+        x = (self.half * z[:, None] - z) % d
+        return x * d + (x - z[:, None]) % d
+
 
 def _weyl_entries(system: WeylSystem, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """W(a, b) is monomial: row x holds phases[x] in column cols[x] = x + a; coordinates mod p**N."""
@@ -208,12 +216,9 @@ def _subgroup_density(system: WeylSystem, mask: np.ndarray) -> np.ndarray:
     """p^(-N) * sum of W(-z) over the phase-space points z with mask[z] set."""
     d = system.dim
     rows = np.flatnonzero(mask.any(axis=1))  # the other rows z1 sum to an exact 0
-    z1 = rows[:, None]
-    # W(-z1, -z2)[x, (x - z1) % d] = exp(2*pi*i*z2*(h*z1 - x)/d): DFT entry k belongs at x = h*z1 - k
-    x = (system.half * z1 - np.arange(d)) % d
-    rho = np.zeros((d, d), dtype=complex)
-    rho[x, (x - z1) % d] = np.fft.ifft(mask[rows], axis=1)
-    return rho
+    rho = np.zeros(d * d, dtype=complex)
+    rho[system._density_scatter[rows]] = np.fft.ifft(mask[rows], axis=1)
+    return rho.reshape(d, d)
 
 
 def gaussian_density(system: WeylSystem, exponent1: int, exponent2: int) -> np.ndarray:
@@ -262,10 +267,13 @@ def _dual_deviation(system: WeylSystem, lat: Lattice) -> float:
 def _block_spectrum(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian h of size d, one block per coset of gZ in Z/d:
     g = gcd(d, every x - y with h[x, y] != 0), so no nonzero entry leaves its block.
-    g = 1 gives one block, the full solve."""
+    g = 1 gives one block, the full solve; g = d gives 1x1 blocks, whose eigenvalues are the
+    real diagonal, as eigvalsh returns them."""
     d = len(h)
-    x, y = np.nonzero(h != 0)
-    g = int(np.gcd.reduce(x - y, initial=d))
+    flat = np.flatnonzero(h != 0)  # entry x*d + y has offset x - y; a bool array scans faster than h
+    g = int(np.gcd.reduce(flat // d - flat % d, initial=d))
+    if g == d:
+        return np.sort(h.diagonal().real)
     # index q*g + r lies in coset r: block r is h[q*g + r, q'*g + r] over q, q'
     blocks = h.reshape(d // g, g, d // g, g).diagonal(0, 1, 3).transpose(2, 0, 1)
     return np.sort(np.linalg.eigvalsh(blocks), axis=None)
@@ -296,10 +304,10 @@ def _entropy(spectrum: np.ndarray) -> float:
 
 
 def _flat_deviation(spectrum: np.ndarray, p: int, n: int) -> float:
-    """Max distance from the flat spectrum: p^(-n) with multiplicity p^n, else 0."""
+    """Max distance of an ascending spectrum from the flat one: p^(-n) with multiplicity p^n, else 0."""
     flat = np.zeros(len(spectrum))
     flat[-(p**n):] = float(p) ** (-n)
-    return float(np.abs(np.sort(spectrum) - flat).max())
+    return float(np.abs(spectrum - flat).max())
 
 
 def entropy_nats(rho: np.ndarray) -> float:
@@ -343,7 +351,7 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
     with the exact output lattice K^-1 L_in intersect L_noise: positive
     semidefinite iff the exact measure is <= 1, and when it is a state the
     spectrum must be flat at p^(-n) with multiplicity p^n. Inputs whose
-    output masks coincide share one density and one eigensolve.
+    output masks coincide share one density, one eigensolve and one verdict.
 
     Inputs are the centered Gaussians of the window grid, window exponent
     pairs with a nonnegative sum. An input is skipped when its pullback leaves the
@@ -366,6 +374,7 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
 
     cases: list[ScanCase] = []
     solved: dict[bytes, tuple[np.ndarray, float, float]] = {}  # output mask -> spectrum, min, trace
+    judged: dict[tuple[bytes, int], tuple] = {}  # (output mask, n_out) -> psd, agree, entropy
     for g, h in _state_exponents(system):
         in_lat = exponent_lattice(p, g, h)
         pulled = in_lat._pulled_back(adjugate, gain)  # K^-1 L, as the channel forms it
@@ -381,16 +390,14 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
             solved[key] = spectrum, float(spectrum.min()), float(np.real(np.trace(rho)))
         spectrum, min_eig, trace = solved[key]
         n_out = out_lat.a + out_lat.b
-        expected_predicate = n_out >= 0
-        psd = min_eig >= -PSD_TOLERANCE
-
-        entropy: float | None = None
-        if expected_predicate:
-            agree = psd and _flat_deviation(spectrum, p, n_out) < 1e-9
-            if psd:
-                entropy = _entropy(spectrum)
-        else:
-            agree = min_eig < -WITNESS_TOLERANCE
+        if (key, n_out) not in judged:
+            psd = min_eig >= -PSD_TOLERANCE
+            if n_out >= 0:  # a predicted state: flat at p^(-n_out)
+                agree = psd and _flat_deviation(spectrum, p, n_out) < 1e-9
+                judged[key, n_out] = psd, agree, _entropy(spectrum) if psd else None
+            else:
+                judged[key, n_out] = psd, min_eig < -WITNESS_TOLERANCE, None
+        psd, agree, entropy = judged[key, n_out]
         cases.append(
             ScanCase(
                 transform=k_int,
@@ -401,7 +408,7 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
                 spectrum=spectrum.tolist(),
                 entropy_nats=entropy,
                 output_exponent=n_out,
-                expected_predicate=expected_predicate,
+                expected_predicate=n_out >= 0,
                 psd=psd,
                 agree=agree,
             )

@@ -363,19 +363,22 @@ class TestGaussianDensities:
 
 
 class TestDensityBuilder:
-    """The DFT builder against the plain sum of Weyl operators it stands for."""
+    """The DFT builder against the plain sum of Weyl operators it stands for.
 
-    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
+    From d = 25 on, each random mask holds about 100 points, which keeps that sum cheap at d = 81.
+    """
+
+    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
     def test_matches_weyl_sum(self, p, n):
         system = WeylSystem(p, n)
         d = system.dim
         rng = np.random.default_rng(62)
         masks = [product_mask(system, k1, k2) for k1 in range(n + 1) for k2 in range(n + 1)]
-        masks += [rng.random((d, d)) < 0.3 for _ in range(5)]
+        masks += [rng.random((d, d)) < min(0.3, 100 / d**2) for _ in range(5)]
         for mask in masks:
             assert np.abs(_subgroup_density(system, mask) - weyl_sum_density(system, mask)).max() < 1e-12
 
-    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
+    @pytest.mark.parametrize("p,n", BATTERY_SYSTEMS)
     def test_masks_with_empty_rows(self, p, n):
         # rows z1 that miss the mask are skipped by the builder and must come out exactly 0
         system = WeylSystem(p, n)
@@ -383,7 +386,7 @@ class TestDensityBuilder:
         rng = np.random.default_rng(63)
         masks = []
         for keep in (0.5, 0.2):
-            mask = rng.random((d, d)) < 0.4
+            mask = rng.random((d, d)) < min(0.4, 100 / (keep * d**2))
             mask[rng.random(d) >= keep] = False
             masks.append(mask)
         one_row = np.zeros((d, d), dtype=bool)
@@ -842,6 +845,69 @@ class TestGainIsTheMinimum:
         assert (channels, minima) == (49, attained)
 
 
+def spectra(rhos):
+    """Entropies -sum(lam * ln lam) over eigenvalues above 1e-12, and least eigenvalues, of a stack."""
+    lams = np.linalg.eigvalsh(rhos)
+    kept = np.where(lams > 1e-12, lams, 1.0)  # ln 1 = 0 drops the rest
+    return -(kept * np.log(kept)).sum(axis=-1), lams.min(axis=-1)
+
+
+class TestGainOverAllInputs:
+    """The gain log|det K|_p as the least S_out - S_in over every input, Gaussian or not, at (3, 2).
+
+    The finite channel keeps the characteristic values on the noise's window image S, read at K z:
+    rho -> d^-1 * sum over z in S of Tr(rho W(K z)) W(-z). It is built from char_table and
+    weyl_operator alone, batched over inputs, for every admissible (battery transform, product
+    noise) channel of the window, and must agree with the scan's output density on Gaussian inputs.
+    """
+
+    EPSILONS = (1e-3, 1e-2, 0.1, 0.5)
+
+    def test_no_input_goes_below_the_gain(self):
+        d, p, log_p = SYS.dim, SYS.p, math.log(SYS.p)
+        window, rng = range(-SYS.window, SYS.window + 1), np.random.default_rng(18)
+        x = rng.normal(size=(60, d, d)) + 1j * rng.normal(size=(60, d, d))
+        mixed = x @ x.conj().transpose(0, 2, 1)
+        mixed /= np.trace(mixed, axis1=1, axis2=2)[:, None, None]
+        exponents = _state_exponents(SYS)
+        inputs = np.concatenate([[gaussian_density(SYS, *e) for e in exponents], mixed])
+        chars = np.array([char_table(SYS, rho).ravel() for rho in inputs])  # Tr(rho W(z)) at z1 * d + z2
+        minus = np.array([weyl_operator(SYS, -z1, -z2) for z1 in range(d) for z2 in range(d)]) / d
+        entropy_in = spectra(inputs)[0]
+        z1, z2 = np.divmod(np.arange(d * d), d)
+        channels = attained = mixtures = 0
+        for k in battery_transforms(p):
+            transform, (ka, kb, kc, kd) = Mat2(*k), k
+            gain = gain_exponent(transform, p) * log_p
+            kz = (ka * z1 + kb * z2) % d * d + (kc * z1 + kd * z2) % d
+            for noise in ((e1, e2) for e1 in window for e2 in window):
+                noise_lat = exponent_lattice(p, *noise)
+                if not channel_validity(transform, noise_lat).ok:
+                    continue
+                channels += 1
+                s = np.flatnonzero(_window_mask(SYS, noise_lat))
+                out = np.tensordot(chars[:, kz[s]], minus[s], 1)
+                for e, rho in zip(exponents, out):  # on a Gaussian input, the scan's output density
+                    assert np.abs(rho - _subgroup_density(SYS, scan_mask(SYS, k, noise, e))).max() < 1e-12
+                excess = spectra(out)[0] - entropy_in - gain
+                at_bound = np.flatnonzero(np.abs(excess[: len(exponents)]) < 1e-9)
+                attained += len(at_bound) > 0
+                # mixtures (1 - eps) * gamma + eps * sigma of each Gaussian gamma at the bound, sigma random
+                gamma = np.tile(at_bound, len(self.EPSILONS))
+                sigma = rng.integers(len(exponents), len(inputs), size=len(gamma))
+                eps = np.repeat(self.EPSILONS, len(at_bound))[:, None, None]
+                rho_in = (1 - eps) * inputs[gamma] + eps * inputs[sigma]
+                rho_out = np.concatenate([out, (1 - eps) * out[gamma] + eps * out[sigma]])
+                mixtures += len(gamma)
+                entropy_out, low = spectra(rho_out)
+                excess = np.concatenate([excess, entropy_out[len(out) :] - spectra(rho_in)[0] - gain])
+                assert np.abs(rho_out - rho_out.conj().transpose(0, 2, 1)).max() < 1e-12, (k, noise)
+                assert np.abs(np.trace(rho_out, axis1=1, axis2=2) - 1).max() < 1e-12, (k, noise)
+                assert low.min() >= -1e-9, (k, noise)
+                assert excess.min() >= -1e-9, (k, noise)
+        assert (channels, attained, mixtures) == (66, 52, 552)
+
+
 class TestBlockSpectrum:
     """The coset-block solve against one full eigvalsh of the same matrix."""
 
@@ -868,7 +934,7 @@ class TestBlockSpectrum:
         assert 1 in cosets and any(1 < g < d for g in cosets)
         assert d == 9 or d in cosets
 
-    def test_dense_diagonal_and_zero_matrices(self):
+    def test_dense_diagonal_and_zero_matrices(self, monkeypatch):
         rng = np.random.default_rng(64)
         for d in (9, 25, 81):
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -877,7 +943,13 @@ class TestBlockSpectrum:
             assert coset_count(dense) == 1 and coset_count(diagonal) == d
             for h in (dense, diagonal):
                 assert np.abs(_block_spectrum(h) - np.linalg.eigvalsh(h)).max() < 1e-12
+            # 1x1 blocks take no solve and give, bit for bit, what a stacked eigvalsh of them gives
+            stacked = np.sort(np.linalg.eigvalsh(diagonal.diagonal().reshape(d, 1, 1)), axis=None)
+            solves = count_calls(monkeypatch, np.linalg, "eigvalsh")
+            assert np.array_equal(_block_spectrum(diagonal), stacked)
             assert not _block_spectrum(np.zeros((d, d), dtype=complex)).any()
+            assert solves == []
+            monkeypatch.undo()
 
     def test_planted_entry_outside_the_cosets(self):
         # one entry off the density's cosets merges blocks; the spectrum stays the full one
@@ -967,15 +1039,20 @@ class TestBattery:
                 assert row["pure"] is (sum(row["exponents"]) == 0)
 
     def test_one_eigensolve_per_state_and_case(self, monkeypatch):
-        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        densities = count_calls(monkeypatch, qpadic.oracle, "_block_spectrum", lambda h: h)
+        solves = count_calls(monkeypatch, np.linalg, "eigvalsh")
         report = run_battery(SYS)
-        # one solve per distinct output lattice within each (transform, noise) scan
+        # one spectrum per distinct output lattice within each (transform, noise) scan
         outputs = {
             (tuple(case["transform"]), tuple(case["noise"]), output_lattice(SYS.p, case))
             for case in report["channel_cases"]
         }
         assert len(report["channel_cases"]) == 147 and len(outputs) == 86
-        assert len(calls) == len(report["states"]) + len(outputs)
+        assert len(densities) == len(report["states"]) + len(outputs)
+        # each spectrum is one stacked eigvalsh, or none when every block is 1x1
+        diagonal = [h for h in densities if coset_count(h) == SYS.dim]
+        assert 0 < len(diagonal) < len(densities)
+        assert len(solves) == len(densities) - len(diagonal)
 
     def test_grid_has_shears_and_nonzero_corners(self, battery):
         transforms = {tuple(case["transform"]) for case in battery["channel_cases"]}
