@@ -46,7 +46,7 @@ import numpy as np
 from .adelic import gain_exponent
 from .channels import GaussianState
 from .lattice import Lattice, Mat2
-from .padic import require_prime, valuation
+from .padic import _MR_BOUND, require_prime, valuation
 
 __all__ = [
     "DIMENSION_CAP",
@@ -90,6 +90,8 @@ class WeylSystem:
             if p == 2:
                 raise ValueError
         except ValueError:
+            if isinstance(self.p, int) and self.p >= _MR_BOUND:
+                raise  # no test decided p, so is_prime's own message says why
             raise ValueError(f"p must be an odd prime, got {self.p!r}") from None
         object.__setattr__(self, "p", p)
         if not isinstance(self.N, int) or self.N <= 0 or self.N % 2:

@@ -9,13 +9,20 @@ on them.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
+import os
 
-import pytest
+# One BLAS thread, set before anything imports numpy, as the benchmark does: with another
+# process on the host, an idle pool of BLAS threads slows each small oracle product sharply.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from qpadic.channels import GaussianChannel, GaussianState, channel_validity
-from qpadic.lattice import Lattice, Mat2, Vec2
+import random  # noqa: E402
+from fractions import Fraction  # noqa: E402
+
+import pytest  # noqa: E402
+
+from qpadic.channels import GaussianChannel, GaussianState, channel_validity  # noqa: E402
+from qpadic.lattice import Lattice, Mat2, Vec2  # noqa: E402
 
 PRIMES = (2, 3, 5, 7, 11)
 
