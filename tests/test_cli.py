@@ -388,11 +388,26 @@ class TestBoundedTime:
         proc = run_subprocess(["-c", code], timeout=10)
         assert proc.returncode == 0 and proc.stdout == "zero has no finite valuation\n" * 3
 
-    def test_import_leaves_numpy_dataclasses_and_cmath_unloaded(self):
-        # numpy is for the oracle alone; dataclasses pulls in inspect, dis and tokenize on every CLI start
-        guarded = "import sys, qpadic.cli; print([m for m in ('numpy', 'dataclasses', 'cmath') if m in sys.modules])"
+    @pytest.fixture(scope="class")
+    def cli_import(self):
+        # one fresh process serves the three import guards below
+        guarded = "import sys, qpadic.cli; print(*[m for m in ('numpy', 'dataclasses', 'cmath') if m in sys.modules])"
         proc = run_subprocess(["-c", guarded], timeout=20)
-        assert proc.returncode == 0 and proc.stdout == "[]\n"
+        return proc.returncode, proc.stdout.split()
+
+    def test_import_leaves_numpy_unloaded(self, cli_import):
+        # numpy is for the oracle alone
+        code, loaded = cli_import
+        assert code == 0 and "numpy" not in loaded
+
+    def test_import_leaves_dataclasses_unloaded(self, cli_import):
+        # dataclasses pulls in inspect, dis and tokenize on every CLI start
+        code, loaded = cli_import
+        assert code == 0 and "dataclasses" not in loaded
+
+    def test_import_leaves_cmath_unloaded(self, cli_import):
+        code, loaded = cli_import
+        assert code == 0 and "cmath" not in loaded
 
     @staticmethod
     def bounded_cli(*args):
