@@ -393,21 +393,18 @@ class TestBoundedTime:
         # one fresh process serves the three import guards below
         guarded = "import sys, qpadic.cli; print(*[m for m in ('numpy', 'dataclasses', 'cmath') if m in sys.modules])"
         proc = run_subprocess(["-c", guarded], timeout=20)
-        return proc.returncode, proc.stdout.split()
+        assert proc.returncode == 0
+        return proc.stdout.split()
 
     def test_import_leaves_numpy_unloaded(self, cli_import):
-        # numpy is for the oracle alone
-        code, loaded = cli_import
-        assert code == 0 and "numpy" not in loaded
+        assert "numpy" not in cli_import  # numpy is for the oracle alone
 
     def test_import_leaves_dataclasses_unloaded(self, cli_import):
         # dataclasses pulls in inspect, dis and tokenize on every CLI start
-        code, loaded = cli_import
-        assert code == 0 and "dataclasses" not in loaded
+        assert "dataclasses" not in cli_import
 
     def test_import_leaves_cmath_unloaded(self, cli_import):
-        code, loaded = cli_import
-        assert code == 0 and "cmath" not in loaded
+        assert "cmath" not in cli_import
 
     @staticmethod
     def bounded_cli(*args):
