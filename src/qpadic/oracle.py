@@ -22,12 +22,11 @@ lattice gives an exact Gaussian state, its pullback by K within the noise image 
 channel output. Every phase is read from one table of the p^N roots of unity, built
 once per system. Spectra take one path, a stacked solve over the coset blocks of the
 matrix's own nonzero offsets (one block is the full solve, 1x1 blocks the diagonal); a
-channel scan solves each distinct output density once, as built, and judges each pair
-of density and exact prediction once. The CCR check takes every pair when phase
-space has at most 81 points, else 500 pairs from random.Random(0), and reads the norm
-of a monomial defect off its largest |entry| (SVD otherwise). The exact layer owns the rules:
-GaussianState refuses measure > 1 and gives each state's rank, entropy and purity, and
-adelic.gain_exponent gives the gain.
+channel scan solves and judges each distinct pair of output density and exact prediction
+once. The CCR check takes every pair when phase space has at most 81 points, else 500
+pairs from random.Random(0), and reads the norm of a monomial defect off its largest
+|entry| (SVD otherwise). The exact layer owns the rules: GaussianState refuses measure > 1
+and gives each state's rank, entropy and purity, and adelic.gain_exponent gives the gain.
 
 Everything here is floating point by design; tolerances are carried by
 the callers. The exact modules never import this one.
@@ -353,7 +352,7 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
     with the exact output lattice K^-1 L_in intersect L_noise: positive
     semidefinite iff the exact measure is <= 1, and when it is a state the
     spectrum must be flat at p^(-n) with multiplicity p^n. Inputs whose
-    output masks coincide share one density, one eigensolve and one verdict.
+    output mask and rank exponent coincide share one density, one eigensolve and one verdict.
 
     Inputs are the centered Gaussians of the window grid, window exponent
     pairs with a nonnegative sum. An input is skipped when its pullback leaves the
@@ -375,8 +374,7 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
     kz = (ka * z[:, None] + kb * z) % d * d + (kc * z[:, None] + kd * z) % d  # flat index of K z
 
     cases: list[ScanCase] = []
-    solved: dict[bytes, tuple[np.ndarray, float, float]] = {}  # output mask -> spectrum, min, trace
-    judged: dict[tuple[bytes, int], tuple] = {}  # (output mask, n_out) -> psd, agree, entropy
+    scanned: dict[tuple[bytes, int], tuple] = {}  # (output mask, n_out) -> spectrum, min, trace, verdict
     for g, h in _state_exponents(system):
         in_lat = exponent_lattice(p, g, h)
         pulled = in_lat._pulled_back(adjugate, gain)  # K^-1 L, as the channel forms it
@@ -385,21 +383,20 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
         out_lat = pulled & noise_lat
 
         out_mask = _window_mask(system, in_lat).ravel()[kz] & noise_mask
-        key = out_mask.tobytes()
-        if key not in solved:
+        n_out = out_lat.a + out_lat.b
+        key = out_mask.tobytes(), n_out
+        if key not in scanned:
             rho = _subgroup_density(system, out_mask)
             spectrum = _block_spectrum(rho)  # eigvalsh reads one triangle
-            solved[key] = spectrum, float(spectrum.min()), float(np.real(np.trace(rho)))
-        spectrum, min_eig, trace = solved[key]
-        n_out = out_lat.a + out_lat.b
-        if (key, n_out) not in judged:
+            min_eig = float(spectrum.min())
             psd = min_eig >= -PSD_TOLERANCE
             if n_out >= 0:  # a predicted state: flat at p^(-n_out)
                 agree = psd and _flat_deviation(spectrum, p, n_out) < 1e-9
-                judged[key, n_out] = psd, agree, _entropy(spectrum) if psd else None
+                entropy = _entropy(spectrum) if psd else None
             else:
-                judged[key, n_out] = psd, min_eig < -WITNESS_TOLERANCE, None
-        psd, agree, entropy = judged[key, n_out]
+                agree, entropy = min_eig < -WITNESS_TOLERANCE, None
+            scanned[key] = spectrum, min_eig, float(np.real(np.trace(rho))), psd, agree, entropy
+        spectrum, min_eig, trace, psd, agree, entropy = scanned[key]
         cases.append(
             ScanCase(
                 transform=k_int,

@@ -266,10 +266,10 @@ def test_criterion_11_cli_determinism():
         golden_dir = Path(__file__).parent / "golden"
 
         def run(args):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
+            buf, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
                 code = cli_main(args)
-            assert code == 0
+            assert code == 0 and err.getvalue() == ""
             return buf.getvalue()
 
         for name, args in sorted(GOLDEN_CASES.items()):

@@ -103,13 +103,6 @@ class TestGainExponent:
 
 
 class TestReport:
-    def test_pinned_case(self):
-        rep = adelic_report(Mat2.diagonal(12, Fraction(1, 5)))
-        assert rep.det == Fraction(12, 5)
-        assert rep.prime_gains == {2: -2, 3: -1, 5: 1}
-        assert rep.real_gain == {2: 2, 3: 1, 5: -1}
-        assert rep.sum_is_zero
-
     def test_unit_determinant(self):
         rep = adelic_report(Mat2(1, 5, 0, 1))
         assert rep.prime_gains == {} and rep.real_gain == {}
