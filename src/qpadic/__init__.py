@@ -6,19 +6,23 @@ finite complex matrices for numerical cross-checks, and the cli module
 exposes the lot as a command-line tool.
 
 The package republishes each exact module's ``__all__``, so a public name is
-listed once, in the module that defines it.
+listed once, in the module that defines it, and is imported on first use.
 """
 
-from . import adelic, channels, errors, lattice, ledger, padic
-from .adelic import *
-from .channels import *
-from .errors import *
-from .lattice import *
-from .ledger import *
-from .padic import *
+import importlib
 
 __version__ = "0.1.0"
+_EXACT = ("errors", "padic", "lattice", "ledger", "channels", "adelic")  # each after the modules it imports
 
-__all__ = sorted(
-    name for module in (adelic, channels, errors, lattice, ledger, padic) for name in module.__all__
-) + ["__version__"]
+
+def __getattr__(name: str):
+    # PEP 562; no name is copied into the package, so a lookup reads the defining module's binding
+    if name in _EXACT:
+        return importlib.import_module(f"{__name__}.{name}")
+    modules = (importlib.import_module(f"{__name__}.{module}") for module in _EXACT)  # imported in turn
+    if name == "__all__":
+        return sorted(public for module in modules for public in module.__all__) + ["__version__"]
+    for module in modules:
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

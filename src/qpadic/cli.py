@@ -15,12 +15,7 @@ import os
 import re
 import sys
 
-from .adelic import adelic_report, gain_exponent
-from .channels import GaussianChannel, GaussianState, channel_validity
-from .errors import InvariantViolation
-from .lattice import Lattice, Mat2, Vec2
-from .ledger import _BASE_LABELS, LogLedger
-from .padic import require_prime
+from .errors import InvariantViolation  # each handler imports what it runs, so a command loads only its modules
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -43,6 +38,7 @@ def _attached(argv: list[str]) -> list[str]:
 
 
 def _parse_lattice(text: str, p: int) -> Lattice:
+    from .lattice import Lattice, Mat2
     return Lattice(Mat2.parse(text), p)
 
 
@@ -68,6 +64,7 @@ def _emit(payload: dict, args) -> None:
 
 
 def _cmd_lattice(args) -> tuple[dict, int]:
+    from .padic import require_prime
     p = require_prime(args.p)
     if args.action in ("intersect", "sum"):
         one = _parse_lattice(args.a, p)
@@ -85,11 +82,16 @@ def _cmd_lattice(args) -> tuple[dict, int]:
 
 
 def _cmd_channel(args) -> tuple[dict, int]:
+    from .lattice import Mat2, Vec2
+    from .padic import require_prime
     p = require_prime(args.p)
     transform = Mat2.parse(args.transform)
     if args.action == "gain":
+        from .adelic import gain_exponent
+        from .ledger import LogLedger
         exponent = gain_exponent(transform, p)
         return _valued(LogLedger.single(p, exponent), args.log_base, exponent=exponent, prime=p), 0
+    from .channels import GaussianChannel, GaussianState, channel_validity
     noise = _parse_lattice(args.noise, p)
     if args.action == "validate":
         check = channel_validity(transform, noise)
@@ -114,8 +116,9 @@ def _cmd_channel(args) -> tuple[dict, int]:
 
 
 def _cmd_adelic(args) -> tuple[dict, int]:
-    report = adelic_report(Mat2.parse(args.transform))
-    return report.to_json_dict(), 0
+    from .adelic import adelic_report
+    from .lattice import Mat2
+    return adelic_report(Mat2.parse(args.transform)).to_json_dict(), 0
 
 
 def _cmd_oracle(args) -> tuple[dict, int]:
@@ -128,7 +131,10 @@ def _cmd_oracle(args) -> tuple[dict, int]:
     return report, 0 if report["all_checks_pass"] else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
+_HANDLERS = {"lattice": _cmd_lattice, "channel": _cmd_channel, "adelic": _cmd_adelic, "oracle": _cmd_oracle}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     parser = _CliParser(prog="qpadic", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True, parser_class=_CliParser)
     shared = _CliParser(add_help=False)  # flags every subcommand takes
@@ -136,51 +142,50 @@ def build_parser() -> argparse.ArgumentParser:
     at_p = _CliParser(add_help=False, parents=[shared])  # and a prime, for all but adelic
     at_p.add_argument("--p", type=int, required=True)
 
-    lat = top.add_parser("lattice", help="lattice geometry").add_subparsers(
-        dest="action", required=True, parser_class=_CliParser
-    )
-    for action in ("measure", "dual", "selfdual", "canon"):
-        sub = lat.add_parser(action, parents=[at_p])
-        sub.add_argument("--basis", required=True)
-        sub.set_defaults(run=_cmd_lattice)
-    for action in ("intersect", "sum"):
-        sub = lat.add_parser(action, parents=[at_p])
-        sub.add_argument("--a", required=True)
-        sub.add_argument("--b", required=True)
-        sub.set_defaults(run=_cmd_lattice)
-
-    chan = top.add_parser("channel", help="Gaussian channels").add_subparsers(
-        dest="action", required=True, parser_class=_CliParser
-    )
-    for action in ("validate", "apply", "gain", "threshold"):
-        sub = chan.add_parser(action, parents=[at_p])
-        sub.add_argument("--K", required=True, dest="transform")
-        if action in ("validate", "apply", "threshold"):
-            sub.add_argument("--L", required=True, dest="noise")
-        if action == "apply":
-            sub.add_argument("--state", required=True)
-            sub.add_argument("--shift", default=None)
-        if action in ("apply", "gain"):
-            sub.add_argument("--log-base", choices=tuple(_BASE_LABELS), default="e", dest="log_base")
-        sub.set_defaults(run=_cmd_channel)
-
-    ade = top.add_parser("adelic", help="sum-zero gain report", parents=[shared])
-    ade.add_argument("--K", required=True, dest="transform")
-    ade.set_defaults(run=_cmd_adelic)
-
-    orc = top.add_parser("oracle", help="finite Weyl-operator checks", parents=[at_p])
-    orc.add_argument("--N", type=int, required=True)
-    orc.add_argument("--max-cases", type=int, default=None, dest="max_cases")
-    orc.set_defaults(run=_cmd_oracle)
+    # A command gets its flags and subcommands only if its name is a token of argv, the only case in which
+    # argparse runs its parser. The top level lists all four with their help, so --help, an unknown command
+    # and a named command's usage and errors print as with every parser built; only channel loads ledger.
+    lat = top.add_parser("lattice", help="lattice geometry")
+    chan = top.add_parser("channel", help="Gaussian channels")
+    ade = top.add_parser("adelic", help="sum-zero gain report", parents=[shared] if "adelic" in argv else [])
+    orc = top.add_parser("oracle", help="finite Weyl-operator checks", parents=[at_p] if "oracle" in argv else [])
+    if "lattice" in argv:
+        lat = lat.add_subparsers(dest="action", required=True, parser_class=_CliParser)
+        for action in ("measure", "dual", "selfdual", "canon"):
+            sub = lat.add_parser(action, parents=[at_p])
+            sub.add_argument("--basis", required=True)
+        for action in ("intersect", "sum"):
+            sub = lat.add_parser(action, parents=[at_p])
+            sub.add_argument("--a", required=True)
+            sub.add_argument("--b", required=True)
+    if "channel" in argv:
+        from .ledger import _BASE_LABELS
+        chan = chan.add_subparsers(dest="action", required=True, parser_class=_CliParser)
+        for action in ("validate", "apply", "gain", "threshold"):
+            sub = chan.add_parser(action, parents=[at_p])
+            sub.add_argument("--K", required=True, dest="transform")
+            if action in ("validate", "apply", "threshold"):
+                sub.add_argument("--L", required=True, dest="noise")
+            if action == "apply":
+                sub.add_argument("--state", required=True)
+                sub.add_argument("--shift", default=None)
+            if action in ("apply", "gain"):
+                sub.add_argument("--log-base", choices=tuple(_BASE_LABELS), default="e", dest="log_base")
+    if "adelic" in argv:
+        ade.add_argument("--K", required=True, dest="transform")
+    if "oracle" in argv:
+        orc.add_argument("--N", type=int, required=True)
+        orc.add_argument("--max-cases", type=int, default=None, dest="max_cases")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = _attached(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv)
     try:
-        args = parser.parse_args(_attached(sys.argv[1:] if argv is None else argv))
-        payload, code = args.run(args)
+        args = parser.parse_args(argv)
+        payload, code = _HANDLERS[args.command](args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ the text in each base of _BASE_LABELS are presentation concerns.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
 from .padic import require_prime
 

@@ -127,7 +127,7 @@ class TestExitCodes:
         def boom(_):
             raise InvariantViolation("forced for the exit-code contract")
 
-        monkeypatch.setattr(cli, "adelic_report", boom)
+        monkeypatch.setattr(qpadic.adelic, "adelic_report", boom)
         code, out, err = run_cli(["adelic", "--K", "2,0;0,1"])
         assert code == 2
         assert "forced" in err
@@ -213,6 +213,30 @@ class TestFlags:
     def test_format_is_common(self, no_ccr, name):
         code, out, err = run_cli(self.COMMANDS[name] + ["--format", "text"])
         assert code == 0 and err == "" and out
+
+    # help at each level, an unknown command or action, missing flags, no argv, and --format before the command
+    PARSE_ONLY = [
+        ["--help"], ["lattice", "--help"], ["lattice", "canon", "--help"], ["channel", "--help"],
+        ["channel", "apply", "--help"], ["adelic", "--help"], ["oracle", "--help"], ["frob"], ["lattice", "frob"],
+        ["channel", "gain"], ["lattice", "measure", "--p", "3"], [], ["--format", "text", "lattice", "measure"],
+    ]
+
+    @pytest.mark.parametrize("args", PARSE_ONLY, ids=lambda args: " ".join(args) or "no-argv")
+    def test_named_commands_parse_as_every_command(self, args, monkeypatch):
+        # main builds only the commands named in argv; help is printed before argparse exits
+        def printed():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(args)
+                except SystemExit as done:
+                    code = done.code
+            return code, out.getvalue(), err.getvalue()
+
+        named = printed()
+        full = cli.build_parser(["lattice", "channel", "adelic", "oracle"])
+        monkeypatch.setattr(cli, "build_parser", lambda argv: full)
+        assert printed() == named
 
 
 class TestNegativeLiterals:
@@ -389,6 +413,49 @@ class TestBoundedTime:
 
     def test_import_leaves_cmath_unloaded(self, cli_import):
         assert "cmath" not in cli_import
+
+    @pytest.fixture(scope="class")
+    def loads(self):
+        # one fresh process for the six guards below; -S, so that no site .pth file imports a module first
+        script = (
+            "import contextlib, io, sys\n"
+            "def loaded():\n"
+            "    print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('qpadic', 'typing')))\n"
+            "import qpadic\n"
+            "loaded()\n"
+            "import qpadic.cli\n"
+            "loaded()\n"
+            "for argv in ('lattice measure --p 3 --basis 3,0;0,1', 'adelic --K 12,0;0,1/5',\n"
+            "             'channel gain --p 3 --K 3,0;0,1'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert qpadic.cli.main(argv.split()) == 0\n"
+            "    loaded()\n"
+            "qpadic.Mat2\n"
+            "loaded()\n"
+        )
+        proc = run_subprocess(["-S", "-c", script], timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        return [set(line.split()) for line in proc.stdout.splitlines()]
+
+    def test_package_import_loads_no_module(self, loads):
+        assert loads[0] == {"qpadic"}  # a public name resolves on first use
+
+    def test_cli_import_loads_errors_alone(self, loads):
+        assert loads[1] == {"qpadic", "qpadic.cli", "qpadic.errors"}  # each handler imports its own modules
+
+    def test_lattice_command_loads_no_channel_module(self, loads):
+        assert not {"qpadic.adelic", "qpadic.channels", "qpadic.ledger"} & loads[2]
+
+    def test_adelic_command_leaves_channels_unloaded(self, loads):
+        assert "qpadic.channels" not in loads[3]
+
+    def test_typing_stays_unloaded(self, loads):
+        # ledger, loaded last by channel gain, takes Mapping from collections.abc
+        assert "qpadic.ledger" in loads[4] and not any("typing" in stage for stage in loads)
+
+    def test_a_name_lookup_stops_at_its_module(self, loads):
+        # the package looks in lattice, which defines Mat2, before channels
+        assert "qpadic.channels" not in loads[5]
 
     @staticmethod
     def bounded_cli(*args):

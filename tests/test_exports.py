@@ -10,6 +10,7 @@ import qpadic
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["adelic", "channels", "errors", "lattice", "ledger", "oracle", "padic"]
+EXACT = [module for module in MODULES if module != "oracle"]  # the modules the package republishes
 # the library, the benchmark's workloads with its generators in conftest, and the acceptance criteria
 OWNERS = [
     *sorted((ROOT / "src" / "qpadic").glob("*.py")),
@@ -62,6 +63,34 @@ def test_star_import_binds_exactly_all():
     namespace: dict = {}
     exec("from qpadic import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'qpadic' has no attribute 'no_such_name'$"):
+        getattr(qpadic, "no_such_name")
+
+
+def test_from_import_binds_the_defining_modules_object():
+    exact = [importlib.import_module(f"qpadic.{module}") for module in EXACT]
+    defining = {name: vars(module)[name] for module in exact for name in module.__all__}
+    defining["__version__"] = vars(qpadic)["__version__"]
+    for name in qpadic.__all__:
+        namespace: dict = {}
+        exec(f"from qpadic import {name}", namespace)
+        assert namespace[name] is defining[name], name
+
+
+def test_a_lookup_reads_the_modules_current_binding(monkeypatch):
+    # the package stores no name, so a name rebound in its module, as the benchmark's tracer does, reads through
+    assert qpadic.valuation is qpadic.padic.valuation
+    monkeypatch.setattr(qpadic.padic, "valuation", len)
+    assert qpadic.valuation is len
+
+
+@pytest.mark.parametrize("module", EXACT)
+def test_exact_module_resolves_through_the_package(module):
+    # the package's __getattr__ itself, since the import system binds a module once it is loaded
+    assert qpadic.__getattr__(module) is importlib.import_module(f"qpadic.{module}")
 
 
 @pytest.mark.parametrize("module", MODULES)
