@@ -17,7 +17,7 @@ _EXACT = ("errors", "padic", "lattice", "ledger", "channels", "adelic")  # each 
 
 def __getattr__(name: str):
     # PEP 562; no name is copied into the package, so a lookup reads the defining module's binding
-    if name in _EXACT:
+    if name in (*_EXACT, "cli", "oracle"):  # `from qpadic import cli` asks here first: import that module alone
         return importlib.import_module(f"{__name__}.{name}")
     modules = (importlib.import_module(f"{__name__}.{module}") for module in _EXACT)  # imported in turn
     if name == "__all__":
@@ -26,3 +26,7 @@ def __getattr__(name: str):
         if name in module.__all__:
             return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*__getattr__("__all__"), *globals()})  # __all__ first: it imports the modules it lists

@@ -37,12 +37,12 @@ def _attached(argv: list[str]) -> list[str]:
     return out
 
 
-def _parse_lattice(text: str, p: int) -> Lattice:
+def _parse_lattice(text: str, p: int):
     from .lattice import Lattice, Mat2
     return Lattice(Mat2.parse(text), p)
 
 
-def _valued(ledger: LogLedger, base: str, **fields) -> dict:
+def _valued(ledger, base: str, **fields) -> dict:
     """The given fields plus the ledger's text in the chosen log base, keyed value_base_<base>."""
     return {**fields, f"value_base_{base}": ledger.render(base)}
 
@@ -131,9 +131,6 @@ def _cmd_oracle(args) -> tuple[dict, int]:
     return report, 0 if report["all_checks_pass"] else 2
 
 
-_HANDLERS = {"lattice": _cmd_lattice, "channel": _cmd_channel, "adelic": _cmd_adelic, "oracle": _cmd_oracle}
-
-
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     parser = _CliParser(prog="qpadic", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True, parser_class=_CliParser)
@@ -142,24 +139,24 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     at_p = _CliParser(add_help=False, parents=[shared])  # and a prime, for all but adelic
     at_p.add_argument("--p", type=int, required=True)
 
-    # A command gets its flags and subcommands only if its name is a token of argv, the only case in which
-    # argparse runs its parser. The top level lists all four with their help, so --help, an unknown command
-    # and a named command's usage and errors print as with every parser built; only channel loads ledger.
+    # lattice and channel get their ten subcommands only when named in argv, the only case in which argparse
+    # runs their parsers; the top level still lists them, so help, usage and errors print as with all built
     lat = top.add_parser("lattice", help="lattice geometry")
-    chan = top.add_parser("channel", help="Gaussian channels")
-    ade = top.add_parser("adelic", help="sum-zero gain report", parents=[shared] if "adelic" in argv else [])
-    orc = top.add_parser("oracle", help="finite Weyl-operator checks", parents=[at_p] if "oracle" in argv else [])
     if "lattice" in argv:
         lat = lat.add_subparsers(dest="action", required=True, parser_class=_CliParser)
         for action in ("measure", "dual", "selfdual", "canon"):
             sub = lat.add_parser(action, parents=[at_p])
             sub.add_argument("--basis", required=True)
+            sub.set_defaults(run=_cmd_lattice)
         for action in ("intersect", "sum"):
             sub = lat.add_parser(action, parents=[at_p])
             sub.add_argument("--a", required=True)
             sub.add_argument("--b", required=True)
+            sub.set_defaults(run=_cmd_lattice)
+
+    chan = top.add_parser("channel", help="Gaussian channels")
     if "channel" in argv:
-        from .ledger import _BASE_LABELS
+        from .ledger import _BASE_LABELS  # so only channel loads ledger
         chan = chan.add_subparsers(dest="action", required=True, parser_class=_CliParser)
         for action in ("validate", "apply", "gain", "threshold"):
             sub = chan.add_parser(action, parents=[at_p])
@@ -171,21 +168,25 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
                 sub.add_argument("--shift", default=None)
             if action in ("apply", "gain"):
                 sub.add_argument("--log-base", choices=tuple(_BASE_LABELS), default="e", dest="log_base")
-    if "adelic" in argv:
-        ade.add_argument("--K", required=True, dest="transform")
-    if "oracle" in argv:
-        orc.add_argument("--N", type=int, required=True)
-        orc.add_argument("--max-cases", type=int, default=None, dest="max_cases")
+            sub.set_defaults(run=_cmd_channel)
+
+    ade = top.add_parser("adelic", help="sum-zero gain report", parents=[shared])
+    ade.add_argument("--K", required=True, dest="transform")
+    ade.set_defaults(run=_cmd_adelic)
+
+    orc = top.add_parser("oracle", help="finite Weyl-operator checks", parents=[at_p])
+    orc.add_argument("--N", type=int, required=True)
+    orc.add_argument("--max-cases", type=int, default=None, dest="max_cases")
+    orc.set_defaults(run=_cmd_oracle)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = _attached(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
-        payload, code = _HANDLERS[args.command](args)
+        args = build_parser(argv).parse_args(argv)
+        payload, code = args.run(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2

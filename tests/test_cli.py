@@ -416,22 +416,26 @@ class TestBoundedTime:
 
     @pytest.fixture(scope="class")
     def loads(self):
-        # one fresh process for the six guards below; -S, so that no site .pth file imports a module first
+        # one fresh process for the seven guards below; -S, so that no site .pth file imports a module first
         script = (
             "import contextlib, io, sys\n"
             "def loaded():\n"
-            "    print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('qpadic', 'typing')))\n"
-            "import qpadic\n"
-            "loaded()\n"
-            "import qpadic.cli\n"
-            "loaded()\n"
-            "for argv in ('lattice measure --p 3 --basis 3,0;0,1', 'adelic --K 12,0;0,1/5',\n"
-            "             'channel gain --p 3 --K 3,0;0,1'):\n"
+            "    watched = ('qpadic', 'typing', 'numpy', 'dataclasses', 'cmath')\n"
+            "    print(*sorted(m for m in sys.modules if m.partition('.')[0] in watched))\n"
+            "def run(argv):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert qpadic.cli.main(argv.split()) == 0\n"
             "    loaded()\n"
+            "import qpadic\n"
+            "loaded()\n"
+            "from qpadic import cli\n"  # the import system asks the package for `cli` before it loads the submodule
+            "loaded()\n"
+            "run('lattice measure --p 3 --basis 3,0;0,1')\n"
+            "run('adelic --K 12,0;0,1/5')\n"
+            "run('channel gain --p 3 --K 3,0;0,1')\n"
             "qpadic.Mat2\n"
             "loaded()\n"
+            "run('channel validate --p 3 --K 3,0;0,1 --L 1,0;0,1')\n"
         )
         proc = run_subprocess(["-S", "-c", script], timeout=20)
         assert proc.returncode == 0, proc.stderr
@@ -447,7 +451,7 @@ class TestBoundedTime:
         assert not {"qpadic.adelic", "qpadic.channels", "qpadic.ledger"} & loads[2]
 
     def test_adelic_command_leaves_channels_unloaded(self, loads):
-        assert "qpadic.channels" not in loads[3]
+        assert not {"qpadic.channels", "qpadic.ledger"} & loads[3]
 
     def test_typing_stays_unloaded(self, loads):
         # ledger, loaded last by channel gain, takes Mapping from collections.abc
@@ -456,6 +460,12 @@ class TestBoundedTime:
     def test_a_name_lookup_stops_at_its_module(self, loads):
         # the package looks in lattice, which defines Mat2, before channels
         assert "qpadic.channels" not in loads[5]
+
+    def test_no_module_loads_numpy_dataclasses_or_cmath(self, loads):
+        # the last stage has run every exact module, so this guards each of them, not only cli
+        exact = {f"qpadic.{name}" for name in ("errors", "value", "padic", "lattice", "ledger", "channels", "adelic")}
+        assert exact <= loads[6]
+        assert not {"numpy", "dataclasses", "cmath"} & set().union(*loads)
 
     @staticmethod
     def bounded_cli(*args):

@@ -87,10 +87,14 @@ def test_a_lookup_reads_the_modules_current_binding(monkeypatch):
     assert qpadic.valuation is len
 
 
-@pytest.mark.parametrize("module", EXACT)
-def test_exact_module_resolves_through_the_package(module):
+@pytest.mark.parametrize("module", [*MODULES, "cli"])
+def test_submodule_resolves_through_the_package(module):
     # the package's __getattr__ itself, since the import system binds a module once it is loaded
     assert qpadic.__getattr__(module) is importlib.import_module(f"qpadic.{module}")
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) <= set(dir(qpadic))
 
 
 @pytest.mark.parametrize("module", MODULES)
