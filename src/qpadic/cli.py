@@ -10,6 +10,7 @@ have at most 1000 digits, counting the magnitude of a decimal exponent.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -204,5 +205,11 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def _entry() -> int:
+    code = main()
+    gc.freeze()  # shutdown's collections skip the frozen heap; atexit handlers and the stdio flush still run
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_entry())

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import contextlib
+import gc
 import shlex
 import subprocess
 import sys
@@ -136,6 +137,13 @@ class TestExitCodes:
         monkeypatch.setattr(Lattice, "__and__", lambda lat, other: Lattice._from_canonical(-1, 0, 0, lat.p))
         args = ["channel", "apply", "--p", "3", "--K", "3,0;0,1", "--L", "1,0;0,1", "--state", "1,0;0,1"]
         assert run_cli(args) == (2, "", "invariant violation: admissible channel produced output measure 3 > 1\n")
+
+    def test_main_leaves_the_collector_alone(self):
+        # in-process callers run main many times in one process; only the process entry freezes the heap
+        frozen = gc.get_freeze_count()
+        assert run_cli(["lattice", "measure", "--p", "3", "--basis", "3,0;0,1"])[0] == 0
+        assert run_cli(["lattice", "measure", "--p", "4", "--basis", "1,0;0,1"])[0] == 1
+        assert gc.get_freeze_count() == frozen
 
 
 class TestFormats:
@@ -395,6 +403,28 @@ class TestBoundedTime:
         )
         proc = run_subprocess(["-c", code], timeout=10)
         assert proc.returncode == 0 and proc.stdout == "zero has no finite valuation\n" * 3
+
+    def test_process_exit_runs_atexit_handlers(self):
+        # the process entry freezes the heap once main returns; shutdown still runs atexit and flushes stdio
+        script = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+            "sys.argv = ['qpadic', 'lattice', 'measure', '--p', '3', '--basis', '3,0;0,1']\n"
+            "runpy.run_module('qpadic.cli', run_name='__main__')\n"
+        )
+        proc = run_subprocess(["-c", script], timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"measure": "1/3"}\n', "atexit ran\n")
+
+    def test_console_script_entry_returns_the_exit_code(self):
+        # the installed qpadic script runs sys.exit(_entry())
+        script = (
+            "import sys\n"
+            "sys.argv = ['qpadic', 'lattice', 'measure', '--p', '4', '--basis', '1,0;0,1']\n"
+            "from qpadic.cli import _entry\n"
+            "sys.exit(_entry())\n"
+        )
+        proc = run_subprocess(["-c", script], timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: 4 is not a prime\n")
 
     @pytest.fixture(scope="class")
     def cli_import(self):
