@@ -56,14 +56,8 @@ class Vec2(FrozenValue):
             raise ValueError(f"vector literal must look like 'x,y', got {text!r}")
         return cls(*parts)
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2._of(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2._of(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "Vec2":
-        return Vec2._of(-self.x, -self.y)
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0

@@ -55,14 +55,8 @@ class LogLedger:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __add__(self, other: "LogLedger") -> "LogLedger":
         return self._of({q: self._terms.get(q, 0) + other._terms.get(q, 0) for q in self._terms | other._terms})
-
-    def __neg__(self) -> "LogLedger":
-        return self._of({q: -e for q, e in self._terms.items()})
 
     def __sub__(self, other: "LogLedger") -> "LogLedger":
         return self._of({q: self._terms.get(q, 0) - other._terms.get(q, 0) for q in self._terms | other._terms})
@@ -71,9 +65,6 @@ class LogLedger:
         if not isinstance(other, LogLedger):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
 
     def value(self) -> float:
         """Numeric value in nats. Exactness ends here."""

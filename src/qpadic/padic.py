@@ -185,20 +185,13 @@ class PhaseQ(FrozenValue):
     """A root of unity exp(2*pi*i*angle) carried as its exact angle.
 
     The angle is a rational reduced into [0, 1); for characters evaluated
-    at a prime p its denominator is a power of p. Multiplication adds
-    angles modulo 1, so products of phases stay exact.
+    at a prime p its denominator is a power of p.
     """
 
     __slots__ = ("angle",)
 
     def __new__(cls, angle) -> "PhaseQ":
         return cls._of(as_rational(angle) % 1)
-
-    def __mul__(self, other: "PhaseQ") -> "PhaseQ":
-        return PhaseQ._of((self.angle + other.angle) % 1)
-
-    def inverse(self) -> "PhaseQ":
-        return PhaseQ._of(-self.angle % 1)
 
 
 def additive_character(x: Fraction | int | str, p: int) -> PhaseQ:

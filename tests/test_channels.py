@@ -155,7 +155,7 @@ class TestCharacteristicFunction:
         for _ in range(30):
             s = rand_state(rng, 5, shifted=True)
             u, v = s.lattice.canonical.columns()
-            assert s.char(u + v) == s.char(u) * s.char(v)
+            assert s.char(s.lattice.canonical @ Vec2(1, 1)).angle == (s.char(u).angle + s.char(v).angle) % 1
 
 
 def dual_point(rng: random.Random, lat: Lattice) -> Vec2:
@@ -186,7 +186,7 @@ class TestStateEquality:
                 state = rand_state(rng, p, shifted=True)
                 w, columns = dual_point(rng, state.lattice), state.lattice.canonical.columns()
                 for other in (w, Vec2(w.x / p, w.y / p), rand_vector(rng, p)):
-                    twin = GaussianState(state.lattice, state.shift + other)
+                    twin = GaussianState(state.lattice, Vec2(state.shift.x + other.x, state.shift.y + other.y))
                     same = all(state.char(z) == twin.char(z) for z in columns)
                     assert (state == twin) == same
                     verdicts.append(same)
@@ -200,7 +200,7 @@ class TestStateEquality:
                 chan = rand_valid_channel(rng, p)
                 state = rand_state(rng, p, shifted=True)
                 w = dual_point(rng, state.lattice)
-                twin = GaussianState(state.lattice, state.shift + w)
+                twin = GaussianState(state.lattice, Vec2(state.shift.x + w.x, state.shift.y + w.y))
                 out, twin_out = chan.apply(state), chan.apply(twin)
                 assert state == twin and out == twin_out
                 moved += out.shift != twin_out.shift
@@ -665,8 +665,8 @@ class TestLedger:
         b = LogLedger({3: 2, 5: 1})
         assert a + b == LogLedger({2: 1, 5: 1})
         assert a - a == LogLedger()
-        assert -a == LogLedger({2: -1, 3: 2})
-        assert not LogLedger()
+        assert LogLedger() - a == LogLedger({2: -1, 3: 2})
+        assert LogLedger().is_zero() and not a.is_zero()
 
     def test_value_and_render(self):
         import math
@@ -689,10 +689,10 @@ class TestLedger:
         for terms in ({}, {3: 1}, {2: 2, 5: -1}, {7: -3, 999983: 4}):
             assert LogLedger(terms).value() == sum((e * math.log(q) for q, e in terms.items()), 0.0)
 
-    def test_hash_and_repr(self):
-        assert hash(LogLedger({3: 1, 5: 0})) == hash(LogLedger.single(3, 1))
+    def test_unhashable_and_repr(self):
+        with pytest.raises(TypeError):
+            hash(LogLedger())
         assert repr(LogLedger({5: -2, 3: 1})) == "LogLedger({3: 1, 5: -2})"
-        assert len({LogLedger({3: 1, 5: 0}), LogLedger.single(3, 1), LogLedger()}) == 2
 
     def test_rejects_bad_terms(self):
         with pytest.raises(ValueError):
@@ -713,7 +713,7 @@ class TestLedger:
         a, b = LogLedger({5: 1, 7: 2}), LogLedger({2: -1, 5: 1})
         assert (a + b).terms == {2: -1, 5: 2, 7: 2} and list((a + b).terms) == [2, 5, 7]
         assert (a - b).render() == "1*ln(2) + 2*ln(7)" and list((b - a).terms) == [2, 7]
-        assert (a - a).is_zero() and (a + -a).render() == "0" and not -LogLedger()
+        assert (a - a).is_zero() and (a + (LogLedger() - a)).render() == "0" and (LogLedger() - LogLedger()).is_zero()
         assert LogLedger.single(3, 0) == LogLedger() and LogLedger.single(3, 0).render() == "0"
         with pytest.raises(ValueError):
             LogLedger().render("7")
