@@ -1,8 +1,7 @@
 """Shared deterministic generators for the property-style tests.
 
 Everything random in this suite flows through a seeded random.Random so
-failures reproduce exactly. Hypothesis is used where a property ranges
-over arbitrary rationals; the bulk lattice corpora use plain loops since
+failures reproduce exactly. The bulk lattice corpora use plain loops since
 they are cheaper per case and the acceptance criteria put time budgets
 on them.
 """
