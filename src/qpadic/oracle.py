@@ -23,13 +23,13 @@ channel output. Every phase is read from one table of the p^N roots of unity, bu
 once per system. Spectra take one path, a stacked solve over the coset blocks of the
 matrix's own nonzero offsets (one block is the full solve, 1x1 blocks the diagonal); a
 channel scan solves and judges each distinct pair of output density and exact prediction
-once. The CCR check takes every pair when phase space has at most 81 points, else 500
-pairs from random.Random(0), and reads the norm of a monomial defect off its largest
-|entry| (SVD otherwise). The exact layer owns the rules: GaussianState refuses measure > 1
-and gives each state's rank, entropy and purity, and adelic.gain_exponent gives the gain.
+once. The CCR check takes every pair when phase space has at most _CCR_GRID_POINTS points, else
+_CCR_SAMPLE pairs from random.Random(0), and reads the norm of a monomial defect off its largest
+|entry| (SVD otherwise). The exact layer owns the rules: GaussianState refuses measure > 1 and
+gives each state's rank, entropy and purity, and adelic.gain_exponent gives the gain.
 
-Everything here is floating point by design; tolerances are carried by
-the callers. The exact modules never import this one.
+Everything here is floating point by design; each tolerance is one module-level name,
+which every check and message reads. The exact modules never import this one.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import numpy as np
 
 from .adelic import gain_exponent
 from .channels import GaussianState
+from .errors import InvariantViolation
 from .lattice import Lattice, Mat2
 from .padic import _MR_BOUND, require_prime, valuation
 
@@ -68,9 +69,10 @@ __all__ = [
 #: Hard cap on the Hilbert-space dimension p**N.
 DIMENSION_CAP = 343
 
-EIGENVALUE_FLOOR = 1e-12
-PSD_TOLERANCE = 1e-9
-WITNESS_TOLERANCE = 1e-6
+ROUNDING_TOLERANCE = 1e-12  # entry rounding of a built density: asymmetry, |trace - 1|, eigenvalues read as 0
+DEFECT_TOLERANCE = 1e-10  # one identity of the finite model: CCR, Fourier, a state's spectrum and characters
+SPECTRUM_TOLERANCE = 1e-9  # eigensolve error: a scan output's least eigenvalue and flatness, a state's entropy
+WITNESS_TOLERANCE = 1e-6  # a negative eigenvalue this large witnesses a non-state; rounding never reaches it
 
 _CCR_GRID_POINTS = 81  # ccr_scan checks every pair when phase space has at most this many points
 _CCR_SAMPLE = 500  # else this many pairs from random.Random(0)
@@ -172,8 +174,8 @@ def _operator_norm(m: np.ndarray) -> float:
 def ccr_scan(system: WeylSystem) -> tuple[float, int]:
     """Max CCR defect over pairs of phase-space points, and the number of pairs checked.
 
-    Every pair when phase space has at most 81 points (p**N = 9), else 500 pairs
-    drawn from random.Random(0), the same pairs on every run.
+    Every pair when phase space has at most _CCR_GRID_POINTS points (p**N = 9), else
+    _CCR_SAMPLE pairs drawn from random.Random(0), the same pairs on every run.
     """
     d = system.dim
     if d * d <= _CCR_GRID_POINTS:
@@ -287,20 +289,20 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     if not np.isfinite(rho).all():
         raise ValueError("density matrix has a non-finite entry")
     herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > 1e-12:
+    if herm > ROUNDING_TOLERANCE:
         raise ValueError(f"not hermitian: max asymmetry {herm:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1) > 1e-12:
+    if abs(tr - 1) > ROUNDING_TOLERANCE:
         raise ValueError(f"trace {tr} differs from 1")
     lams = _block_spectrum(rho)
     low = float(lams.min())
-    if low < -1e-10:
-        raise ValueError(f"minimum eigenvalue {low:.3e} below -1e-10")
+    if low < -DEFECT_TOLERANCE:
+        raise ValueError(f"minimum eigenvalue {low:.3e} below {-DEFECT_TOLERANCE:g}")
     return lams
 
 
 def _entropy(spectrum: np.ndarray) -> float:
-    lams = spectrum[spectrum > EIGENVALUE_FLOOR]
+    lams = spectrum[spectrum > ROUNDING_TOLERANCE]
     return 0.0 - float((lams * np.log(lams)).sum())  # not -x, which is -0.0 on a pure spectrum
 
 
@@ -312,7 +314,7 @@ def _flat_deviation(spectrum: np.ndarray, p: int, n: int) -> float:
 
 
 def entropy_nats(rho: np.ndarray) -> float:
-    """Von Neumann entropy -sum(lam * ln lam) over eigenvalues above 1e-12."""
+    """Von Neumann entropy -sum(lam * ln lam) over eigenvalues above ROUNDING_TOLERANCE."""
     return _entropy(validate_density(rho))
 
 
@@ -389,9 +391,9 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
             rho = _subgroup_density(system, out_mask)
             spectrum = _block_spectrum(rho)  # eigvalsh reads one triangle
             min_eig = float(spectrum.min())
-            psd = min_eig >= -PSD_TOLERANCE
+            psd = min_eig >= -SPECTRUM_TOLERANCE
             if n_out >= 0:  # a predicted state: flat at p^(-n_out)
-                agree = psd and _flat_deviation(spectrum, p, n_out) < 1e-9
+                agree = psd and _flat_deviation(spectrum, p, n_out) < SPECTRUM_TOLERANCE
                 entropy = _entropy(spectrum) if psd else None
             else:
                 agree, entropy = min_eig < -WITNESS_TOLERANCE, None
@@ -418,11 +420,11 @@ def channel_scan(system: WeylSystem, transform: Mat2, noise_exponents: tuple[int
 def run_battery(system: WeylSystem) -> dict:
     """Full deterministic oracle run: CCR, states, Fourier duality, channels.
 
-    Returns a JSON-ready dict; 'all_checks_pass' aggregates every check at its own tolerance:
-    the CCR and Fourier defects below 1e-10; per state, the spectrum's distance from flat, the
-    character table's from the indicator and |sum(lam^2) - 1| below 1e-10, and the entropy
-    within 1e-9 of the ledger's; per channel case, a predicted state with min eigenvalue
-    >= -1e-9 and within 1e-9 of flat, a predicted non-state with an eigenvalue below -1e-6.
+    Returns a JSON-ready dict whose 'all_checks_pass' needs the CCR and Fourier defects below
+    DEFECT_TOLERANCE; per state, the spectrum's distance from flat, the character table's from its window mask
+    and |sum(lam^2) - 1| below DEFECT_TOLERANCE, and the entropy within SPECTRUM_TOLERANCE of the ledger's;
+    per channel case, a predicted state with min eigenvalue >= -SPECTRUM_TOLERANCE and as close to flat, a
+    predicted non-state with one below -WITNESS_TOLERANCE. A refused state density raises InvariantViolation.
     """
     p = system.p
 
@@ -431,18 +433,22 @@ def run_battery(system: WeylSystem) -> dict:
     states = []
     for e1, e2 in _state_exponents(system):
         state = GaussianState(exponent_lattice(p, e1, e2))
+        mask = _window_mask(system, state.lattice)
         n = state.rank_exponent()
-        rho = gaussian_density(system, e1, e2)
-        lams = validate_density(rho)
+        rho = _subgroup_density(system, mask)
+        try:
+            lams = validate_density(rho)
+        except ValueError as exc:
+            raise InvariantViolation(f"oracle state {e1},{e2} at p={p}, N={system.N}: {exc}") from exc
         spectrum_dev = _flat_deviation(lams, p, n)
         ent = _entropy(lams)
         expected_ent = state.entropy().value()
-        char_dev = char_indicator_deviation(system, rho, e1, e2)
-        pure = abs(float((lams**2).sum()) - 1) < 1e-10
+        char_dev = float(np.abs(char_table(system, rho) - mask).max())
+        pure = abs(float((lams**2).sum()) - 1) < DEFECT_TOLERANCE
         ok = (
-            spectrum_dev < 1e-10
-            and abs(ent - expected_ent) < 1e-9
-            and char_dev < 1e-10
+            spectrum_dev < DEFECT_TOLERANCE
+            and abs(ent - expected_ent) < SPECTRUM_TOLERANCE
+            and char_dev < DEFECT_TOLERANCE
             and pure == state.is_pure()
         )
         states.append(
@@ -458,10 +464,8 @@ def run_battery(system: WeylSystem) -> dict:
             }
         )
 
-    fourier_dev = 0.0
-    for e1 in range(0, system.N + 1):
-        for e2 in range(0, system.N + 1):
-            fourier_dev = max(fourier_dev, fourier_subgroup_deviation(system, e1, e2))
+    exponents = range(system.N + 1)
+    fourier_dev = max(fourier_subgroup_deviation(system, e1, e2) for e1 in exponents for e2 in exponents)
 
     transforms = [
         Mat2.identity(),
@@ -476,9 +480,9 @@ def run_battery(system: WeylSystem) -> dict:
     for k in transforms:
         for noise in noises:
             channel_cases.extend(channel_scan(system, k, noise))
-    channels_ok = all(case.agree for case in channel_cases)
 
-    all_ok = ccr_dev < 1e-10 and fourier_dev < 1e-10 and all(row["ok"] for row in states) and channels_ok
+    all_ok = all(row["ok"] for row in states) and all(case.agree for case in channel_cases)
+    all_ok = all_ok and ccr_dev < DEFECT_TOLERANCE and fourier_dev < DEFECT_TOLERANCE
     return {
         "p": p,
         "N": system.N,

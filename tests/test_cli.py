@@ -352,6 +352,20 @@ class TestOracleCommand:
         assert code == 2
         assert json.loads(out)["all_checks_pass"] is False
 
+    def test_refused_state_density_exits_two(self, monkeypatch, no_ccr):
+        # a density that validate_density refuses is a disagreement of the oracle, not invalid input
+        build = qpadic.oracle._subgroup_density
+
+        def planted(system, mask):
+            rho = build(system, mask)
+            rho[0, 0] += 1e-3
+            rho[1, 1] -= 1e-3
+            return rho
+
+        monkeypatch.setattr(qpadic.oracle, "_subgroup_density", planted)
+        want = "invariant violation: oracle state -1,1 at p=3, N=2: minimum eigenvalue -8.820e-04 below -1e-10\n"
+        assert run_cli(["oracle", "--p", "3", "--N", "2"]) == (2, "", want)
+
 
 def run_subprocess(args, timeout):
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -7,10 +7,12 @@ point z maps to p^m * z mod p^N, and an exact shift alpha maps to the finite
 shift -p^m * alpha mod p^N.
 """
 
+import ast
 import cmath
 import dataclasses
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -996,6 +998,11 @@ class TestBattery:
             for row in rows:
                 assert row["pure"] is (sum(row["exponents"]) == 0)
 
+    @pytest.mark.parametrize("p,n,rows", [(3, 2, 6), (3, 4, 15)])
+    def test_one_state_per_row(self, monkeypatch, no_ccr, p, n, rows):
+        built = count_calls(monkeypatch, qpadic.oracle, "GaussianState")
+        assert len(run_battery(WeylSystem(p, n))["states"]) == len(built) == rows
+
     def test_one_eigensolve_per_state_and_case(self, monkeypatch, no_ccr):
         densities = count_calls(monkeypatch, qpadic.oracle, "_block_spectrum", lambda h: h)
         solves = count_calls(monkeypatch, np.linalg, "eigvalsh")
@@ -1031,3 +1038,40 @@ class TestBattery:
         rows = report["states"] + report["channel_cases"]
         zeros = [v for row in rows for value in row.values() for v in np.ravel(value) if v == 0.0]
         assert zeros and all(math.copysign(1.0, v) == 1.0 for v in zeros)
+
+
+class TestTolerances:
+    def test_tolerances_are_named(self):
+        # a small float inside a function restates a tolerance; each one is a module-level name instead
+        tree = ast.parse(Path(qpadic.oracle.__file__).read_text())
+        module_level = [stmt for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))]
+        named = {id(node) for stmt in module_level for node in ast.walk(stmt)}
+        inline = [
+            (node.lineno, node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float and 0 < abs(node.value) < 1e-3
+            and id(node) not in named
+        ]
+        assert inline == []
+
+    @pytest.mark.parametrize("entry,refusal", [((0, 1), "not hermitian"), ((0, 0), "differs from 1")])
+    def test_rounding_tolerance_is_fixed_at_1e_12(self, entry, refusal):
+        # an off-diagonal entry moves the hermitian asymmetry, a diagonal one the trace
+        near, past = (np.diag([0.5, 0.5, 0.0]).astype(complex) for _ in range(2))
+        near[entry] += 5e-13
+        past[entry] += 2e-12
+        validate_density(near)
+        with pytest.raises(ValueError, match=refusal):
+            validate_density(past)
+
+    @pytest.mark.parametrize("shift,agree", [(5e-10, True), (2e-9, False)])
+    def test_scan_spectrum_tolerance_is_fixed_at_1e_9(self, monkeypatch, shift, agree):
+        # lowering each output's least eigenvalue by shift moves it that far below 0 or from flat
+        solve = qpadic.oracle._block_spectrum
+
+        def lowered(h):
+            return solve(h) - shift * (np.arange(len(h)) == 0)
+
+        monkeypatch.setattr(qpadic.oracle, "_block_spectrum", lowered)
+        cases = channel_scan(SYS, Mat2.identity(), (0, 0))
+        assert cases and all(case.expected_predicate and case.agree is agree for case in cases)
