@@ -15,6 +15,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import math  # noqa: E402
 import random  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
@@ -202,6 +203,19 @@ def failing_last_scan(monkeypatch):
         return cases
 
     monkeypatch.setattr(qpadic.oracle, "channel_scan", planted)
+
+
+@pytest.fixture
+def nan_fourier(monkeypatch):
+    """Make the oracle's Fourier check read NaN at exponents (1, 1) alone, inside the (3, 2) grid."""
+    import qpadic.oracle
+
+    check = qpadic.oracle.fourier_subgroup_deviation
+
+    def planted(system, e1, e2):
+        return math.nan if (e1, e2) == (1, 1) else check(system, e1, e2)
+
+    monkeypatch.setattr(qpadic.oracle, "fourier_subgroup_deviation", planted)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import contextlib
 import gc
@@ -316,6 +317,12 @@ class TestOracleCommand:
         payload = json.loads(out)
         assert (code, err) == (2, "")
         assert payload["all_checks_pass"] is False and payload["channel_cases"] == []
+
+    def test_nan_fourier_defect_exits_two(self, no_ccr, nan_fourier):
+        code, out, err = run_cli([*ORACLE, "--max-cases", "0"])
+        payload = json.loads(out)
+        assert (code, err, payload["all_checks_pass"]) == (2, "", False)
+        assert math.isnan(payload["fourier_max_deviation"])
 
     def test_max_cases_truncates(self, no_ccr):
         full = json.loads(run_cli(ORACLE)[1])
